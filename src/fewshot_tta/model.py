@@ -27,18 +27,14 @@ from .optim import Adam
 from .seeding import rng_for, sub_seed
 from .tensor import (
     Tensor,
-    add,
+    _normalize,
     as_tensor,
     conv2d,
-    div,
     instance_norm,
     matmul,
-    mul,
     no_grad,
     relu,
-    reshape,
     softmax_cross_entropy,
-    sqrt,
     tmean,
 )
 
@@ -143,7 +139,7 @@ class Backbone:
             gamma = self.params[f"norm{i + 1}.gamma"]
             beta = self.params[f"norm{i + 1}.beta"]
             if batch_stats:
-                h = _batch_norm_stats(h, gamma, beta)
+                h = _normalize(h, gamma, beta, (0, 2, 3), eps=1e-5)
             else:
                 h = instance_norm(h, gamma, beta, eps=1e-5)
             h = relu(h)
@@ -154,16 +150,6 @@ class Backbone:
         embedding = tmean(h, axis=(2, 3))
         logits = matmul(embedding, self.params["head.weight"]) + self.params["head.bias"]
         return embedding, logits
-
-
-def _batch_norm_stats(h: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize with per-channel statistics pooled over batch and space."""
-    mu = tmean(h, axis=(0, 2, 3), keepdims=True)
-    centered = h - mu
-    var = tmean(centered * centered, axis=(0, 2, 3), keepdims=True)
-    c = h.shape[1]
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(reshape(gamma, 1, c, 1, 1), normed), reshape(beta, 1, c, 1, 1))
 
 
 # -- source training -----------------------------------------------------

@@ -368,12 +368,31 @@ def matmul(a, b) -> Tensor:
 # -- convolution --------------------------------------------------------
 
 
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """The (C*k*k, N*H*W) matrix of zero-padded k x k windows of N x C x H x W ``a``.
+
+    Rows run over (channel, kernel row, kernel column) and columns over
+    (sample, row, column), so one GEMM with an O x (C*k*k) kernel matrix
+    gives the convolution for the whole batch.
+    """
+    n, c, h, w = a.shape
+    p = k // 2
+    # pad channel-major so the window copy below writes rows in order
+    padded = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=np.float64)
+    padded[:, :, p : p + h, p : p + w] = a.transpose(1, 0, 2, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, n * h * w)
+
+
 def conv2d(x, weight) -> Tensor:
     """2-d convolution, stride 1, zero padding that preserves H and W.
 
     ``x`` is N x C x H x W, ``weight`` is O x C x k x k with odd k. Forward
-    runs as one batched GEMM over an im2col matrix; backward scatters the
-    column gradient back through the same layout.
+    is one GEMM of the kernel matrix with the im2col matrix of ``x``, and
+    the weight gradient is one GEMM of the output gradient with that same
+    matrix. The input gradient, computed only when ``x`` requires grad, is
+    the same-padded convolution of the output gradient with the kernel
+    flipped in space and transposed in channels.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4:
@@ -386,27 +405,18 @@ def conv2d(x, weight) -> Tensor:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {c2}")
     if k % 2 != 1:
         raise ValueError(f"conv2d kernel size must be odd to preserve H and W, got {k}")
-    p = k // 2
 
-    xpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
-    xpad[:, :, p : p + h, p : p + w] = x.data
-    cols = np.empty((n, c, k, k, h * w), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj, :] = xpad[:, :, ki : ki + h, kj : kj + w].reshape(n, c, h * w)
-    cols_mat = cols.reshape(n, c * k * k, h * w)
-    w_mat = weight.data.reshape(o, c * k * k)
-    out = np.matmul(w_mat[None, :, :], cols_mat).reshape(n, o, h, w)
+    cols = _im2col(x.data, k)
+    out = (weight.data.reshape(o, c * k * k) @ cols).reshape(o, n, h, w).transpose(1, 0, 2, 3)
 
     def backward(g):
-        g_mat = g.reshape(n, o, h * w)
-        gw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, k, k)
-        g_cols = np.matmul(w_mat.T[None, :, :], g_mat).reshape(n, c, k, k, h * w)
-        gxpad = np.zeros_like(xpad)
-        for ki in range(k):
-            for kj in range(k):
-                gxpad[:, :, ki : ki + h, kj : kj + w] += g_cols[:, :, ki, kj, :].reshape(n, c, h, w)
-        return gxpad[:, :, p : p + h, p : p + w], gw
+        g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
+        gw = (g_mat @ cols.T).reshape(o, c, k, k)
+        if not x.requires_grad:
+            return None, gw
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        gx = (flipped @ _im2col(g, k)).reshape(c, n, h, w).transpose(1, 0, 2, 3)
+        return gx, gw
 
     return _result(out, (x, weight), backward)
 
@@ -536,22 +546,50 @@ def instance_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     output = gamma * (x - mu) / sqrt(var + eps) + beta, with mu/var computed
     over the spatial dimensions of each sample and channel independently.
+    One graph node with a closed-form backward (see ``_normalize``).
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
         raise ValueError(f"instance_norm expects N x C x H x W, got shape {x.shape}")
-    n, c = x.shape[0], x.shape[1]
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(
             f"instance_norm affine parameters must have shape ({c},), got gamma {gamma.shape}, beta {beta.shape}"
         )
     if eps < 0:
         raise ValueError("instance_norm eps must be >= 0")
-    mu = tmean(x, axis=(2, 3), keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=(2, 3), keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(reshape(gamma, 1, c, 1, 1), normed), reshape(beta, 1, c, 1, 1))
+    return _normalize(x, gamma, beta, (2, 3), eps)
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], eps: float) -> Tensor:
+    """gamma * (x - mu) / sqrt(var + eps) + beta, statistics pooled over ``axes``.
+
+    ``x`` is N x C x H x W and ``axes`` is (2, 3) for instance statistics or
+    (0, 2, 3) for batch statistics; ``gamma`` and ``beta`` have shape (C,).
+    One graph node. With xhat the normalized input and means taken over
+    ``axes``, the input gradient is the closed form
+    gamma / sqrt(var + eps) * (g - mean(g) - xhat * mean(g * xhat)).
+    """
+    c = x.shape[1]
+    g4, b4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
+    centered = x.data - x.data.mean(axis=axes, keepdims=True)
+    # out holds the squares first; the in-place steps keep two full-size buffers
+    out = np.multiply(centered, centered)
+    std = np.sqrt(out.mean(axis=axes, keepdims=True) + eps)
+    xhat = np.divide(centered, std, out=centered)
+    np.multiply(g4, xhat, out=out)
+    out += b4
+
+    def backward(g):
+        g_xhat = g * xhat
+        ggamma = g_xhat.sum(axis=(0, 2, 3))
+        gx = np.multiply(xhat, g_xhat.mean(axis=axes, keepdims=True), out=g_xhat)
+        np.subtract(g, gx, out=gx)
+        gx -= g.mean(axis=axes, keepdims=True)
+        gx *= g4 / std
+        return gx, ggamma, g.sum(axis=(0, 2, 3))
+
+    return _result(out, (x, gamma, beta), backward)
 
 
 # -- similarity ---------------------------------------------------------

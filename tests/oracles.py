@@ -1,11 +1,15 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here is written with explicit Python loops over plain floats, on
-purpose: these functions must not share any code path with the vectorized
-implementations they check.
+Everything here except ``normalize_graph`` is written with explicit Python
+loops over plain floats, on purpose: these functions must not share any code
+path with the vectorized implementations they check. ``normalize_graph``
+composes elementary autodiff ops, so that its gradients come from the chain
+rule rather than from the closed form it checks.
 """
 
 import math
+
+from fewshot_tta.tensor import add, div, mul, reshape, sqrt, sub, tmean
 
 
 def conv2d_loops(x, w):
@@ -59,6 +63,20 @@ def instance_norm_loops(x, gamma, beta, eps):
             planes.append([[gamma[ci] * (v - mu) / denom + beta[ci] for v in row] for row in chan])
         out.append(planes)
     return out
+
+
+def normalize_graph(x, gamma, beta, axes, eps):
+    """gamma * (x - mu) / sqrt(var + eps) + beta as a graph of elementary ops.
+
+    Statistics are pooled over ``axes``: (2, 3) for instance norm, (0, 2, 3)
+    for the batch-statistics path of ``Backbone.forward``.
+    """
+    c = x.shape[1]
+    mu = tmean(x, axis=axes, keepdims=True)
+    centered = sub(x, mu)
+    var = tmean(mul(centered, centered), axis=axes, keepdims=True)
+    normed = div(centered, sqrt(add(var, eps)))
+    return add(mul(reshape(gamma, 1, c, 1, 1), normed), reshape(beta, 1, c, 1, 1))
 
 
 def softmax_loops(row):

@@ -162,6 +162,20 @@ class TestFullLossGradients:
                                    rng=np.random.default_rng(6))
         assert report.ok(1e-4), (report.worst_param, report.max_rel_err)
 
+    def test_supervised_loss_with_batch_stats(self):
+        rng = np.random.default_rng(4)
+        model = Backbone(widths=(2, 3, 3, 3), num_classes=4, init_seed=1)
+        model.params["head.weight"].data[:] = rng.normal(size=(3, 4)) * 0.5
+        x = Tensor(rng.normal(size=(4, 2, 6, 5)), requires_grad=True)
+
+        def fn():
+            _, logits = model.forward(x, mode="train", batch_stats=True)
+            return softmax_cross_entropy(logits, [0, 1, 2, 3])
+
+        report = finite_diff_check(fn, {"x": x, **model.params}, max_coords_per_param=6,
+                                   rng=np.random.default_rng(7))
+        assert report.ok(1e-4), (report.worst_param, report.max_rel_err)
+
 
 class TestTrainSource:
     def make_toy_domains(self):

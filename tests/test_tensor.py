@@ -22,6 +22,7 @@ from fewshot_tta import (
     take_rows,
 )
 from fewshot_tta.errors import DegenerateSimilarityWarning
+from fewshot_tta.tensor import _normalize
 
 import oracles
 
@@ -206,6 +207,29 @@ class TestInstanceNorm:
         with pytest.raises(ValueError, match="affine"):
             instance_norm(Tensor(np.zeros((1, 3, 2, 2))), Tensor([1.0]), Tensor([0.0]))
 
+    @pytest.mark.parametrize("axes", [(2, 3), (0, 2, 3)])
+    @pytest.mark.parametrize("n,c", [(32, 16), (32, 32), (64, 16), (64, 32)])
+    def test_fused_matches_composite_graph(self, n, c, axes):
+        """Forward and all three gradients of the one-node op against the
+        elementary-op graph, at the default Backbone's shapes."""
+        rng = np.random.default_rng(n + c + len(axes))
+        x = rng.normal(size=(n, c, 16, 16)) * 2.0 + 1.0
+        gamma, beta = rng.normal(size=c) + 1.0, rng.normal(size=c)
+        probe = rng.normal(size=(n, c, 16, 16))
+        results = []
+        for op in (_normalize, oracles.normalize_graph):
+            ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            out = op(*ts, axes, 1e-5)
+            out.backward(probe)
+            results.append([out.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# (x shape, kernel shape): H != W with k=3, and k=5 wider than W
+CONV_SHAPES = [((2, 3, 4, 7), (2, 3, 3, 3)),
+               ((2, 2, 6, 3), (3, 2, 5, 5))]
+
 
 class TestConv2d:
     def test_matches_loop_oracle(self, rng):
@@ -215,6 +239,27 @@ class TestConv2d:
         expected = oracles.conv2d_loops(x.tolist(), w.tolist())
         assert out.shape == (2, 4, 5, 5)
         assert np.allclose(out.data, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("xs,ws", CONV_SHAPES)
+    def test_nonsquare_and_k5_match_loop_oracle(self, rng, xs, ws):
+        x = rng.normal(size=xs)
+        w = rng.normal(size=ws)
+        out = conv2d(Tensor(x), Tensor(w))
+        expected = oracles.conv2d_loops(x.tolist(), w.tolist())
+        assert out.shape == (xs[0], ws[0], xs[2], xs[3])
+        assert np.allclose(out.data, expected, atol=1e-10)
+
+    def test_input_without_grad_gets_none(self, rng):
+        x = rng.normal(size=(2, 3, 5, 4))
+        w = rng.normal(size=(4, 3, 3, 3))
+        probe = rng.normal(size=(2, 4, 5, 4))
+        grads = []
+        for x_grad in (False, True):
+            xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
+            conv2d(xt, wt).backward(probe)
+            assert (xt.grad is None) == (not x_grad)
+            grads.append(wt.grad)
+        assert np.array_equal(grads[0], grads[1])
 
     def test_identity_kernel(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
@@ -290,6 +335,14 @@ class TestGradients:
         x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
         probe = Tensor(rng.normal(size=(2, 2, 5, 5)))
+        _check(lambda: (conv2d(x, w) * probe).sum(), {"x": x, "w": w}, tol=1e-6)
+
+    @pytest.mark.parametrize("xs,ws", CONV_SHAPES)
+    def test_conv2d_nonsquare_and_k5(self, xs, ws):
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        x = Tensor(rng.normal(size=xs), requires_grad=True)
+        w = Tensor(rng.normal(size=ws), requires_grad=True)
+        probe = Tensor(rng.normal(size=(xs[0], ws[0], xs[2], xs[3])))
         _check(lambda: (conv2d(x, w) * probe).sum(), {"x": x, "w": w}, tol=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))

@@ -29,7 +29,7 @@ from .tensor import (
     instance_norm,
     cosine_sim,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam, AdamState
 from .gradcheck import finite_diff_check, FiniteDiffReport
 from .data import (
     BenchmarkConfig,
@@ -85,7 +85,6 @@ __all__ = [
     "cosine_sim",
     "Adam",
     "AdamState",
-    "adam_step",
     "finite_diff_check",
     "FiniteDiffReport",
     "BenchmarkConfig",

@@ -21,10 +21,9 @@ from .config import (RunConfig, config_hash, file_sha256, load_config, seed_plan
                      serialize)
 from .data import SupportSet, read_dataset, write_dataset, write_manifest
 from .errors import ConfigError, DataError, NumericError
-from .finetune import eval_accuracy, finetune, write_loss_trace
+from .finetune import finetune, write_loss_trace
 from .model import load_model, save_model, train_source
-from .prototypes import init_bank
-from .stream import AdaptConfig, make_stream, resolve_method, run_baseline
+from .stream import resolve_method
 
 
 def _write_json(path, doc):
@@ -147,54 +146,42 @@ def cmd_finetune(args) -> int:
     return 0
 
 
+def _read_for_model(path, model, model_path):
+    """Read a TTAD file whose class count must match the model's."""
+    ds = read_dataset(path)
+    if ds.num_classes != model.num_classes:
+        raise DataError(f"{path}: {ds.num_classes} classes, but model {model_path} "
+                        f"has {model.num_classes}")
+    return ds
+
+
 def cmd_adapt(args) -> int:
     cfg = _config_from(args)
-    kind = resolve_method(cfg.method)
     model = load_model(args.model)
-    ds = read_dataset(args.stream)
-
+    ds = _read_for_model(args.stream, model, args.model)
     bank = None
-    if kind == "fs_tta":
-        if not args.support:
-            raise ConfigError("fs_tta needs --support to build the prototype bank")
-        sup = read_dataset(args.support)
-        emb, labels = harness.embed_records(model, sup.records)
-        bank = init_bank(emb, labels, class_count=sup.num_classes, ema_beta=cfg.ema_beta)
-
-    stream = make_stream(ds.records, cfg.adapt.batch_size,
-                         seed_plan(cfg)["stream"], cfg.stream_order)
-    t0 = time.perf_counter()
-    metrics = run_baseline(kind, model, stream, cfg.adapt, bank=bank)
-    seconds = time.perf_counter() - t0
-
-    doc = _sidecar(cfg, {
+    if args.support:
+        sup = _read_for_model(args.support, model, args.model)
+        bank = harness.support_bank(model, sup.records, sup.num_classes, cfg.ema_beta)
+    fields = harness.adapt_stream(cfg, cfg.method, model, ds.records,
+                                  seed_plan(cfg)["stream"], bank)
+    _write_json(args.out, _sidecar(cfg, {
         "schema": harness.METRICS_SCHEMA,
-        "method": kind,
         "comparison_hash": harness.comparison_hash(cfg),
         "data_hash": file_sha256(args.stream),
         "num_classes": ds.num_classes,
-        "final_accuracy": metrics.final_accuracy,
-        "correct": metrics.correct,
-        "total": metrics.total,
-        "curve": metrics.accuracy_curve,
-        "rows": metrics.rows,
-        "selected_total": metrics.selected_total,
-        "mask_total": metrics.mask_total,
-        "loss_skipped": metrics.loss_skipped,
-        "adam_skipped": metrics.adam_skipped,
-        "seconds": seconds,
-    })
-    _write_json(args.out, doc)
+        **fields,
+    }))
     if args.batch_csv:
         with open(args.batch_csv, "w", newline="") as fh:
             names = ["batch", "batch_correct", "batch_size", "cumulative_accuracy",
                      "selected", "mask_rate", "loss"]
             writer = csv.DictWriter(fh, fieldnames=names)
             writer.writeheader()
-            for i, row in enumerate(metrics.rows):
+            for i, row in enumerate(fields["rows"]):
                 writer.writerow({"batch": i, **{k: row[k] for k in names[1:]}})
-    print(f"{kind}: online accuracy {metrics.final_accuracy:.4f} "
-          f"over {metrics.total} samples ({seconds:.1f}s)")
+    print(f"{fields['method']}: online accuracy {fields['final_accuracy']:.4f} "
+          f"over {fields['total']} samples ({fields['seconds']:.1f}s)")
     return 0
 
 

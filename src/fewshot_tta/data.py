@@ -18,6 +18,7 @@ from .errors import (
     BadMagicError,
     ConfigError,
     DataError,
+    DataFormatError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -214,8 +215,11 @@ def read_dataset(path) -> Dataset:
         raise TruncatedFileError(f"{path}: expected {expected} bytes for {n} records, got {len(raw)}")
     records = []
     off = _HEADER.size
-    for _ in range(n):
+    for i in range(n):
         (label,) = struct.unpack_from("<H", raw, off)
+        if label >= num_classes:
+            raise DataFormatError(f"{path}: record {i} has label {label}, "
+                                  f"out of range for {num_classes} classes")
         off += 2
         pixels = np.frombuffer(raw, dtype="<f4", count=c * h * w, offset=off).astype(np.float64)
         off += 4 * c * h * w

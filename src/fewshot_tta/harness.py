@@ -86,39 +86,33 @@ def embed_records(model: Backbone, records) -> tuple[np.ndarray, np.ndarray]:
     return emb.data, y
 
 
+def support_bank(model: Backbone, records, class_count: int, ema_beta: float):
+    """The prototype bank seeded from the model's embeddings of the support records."""
+    emb, labels = embed_records(model, records)
+    return init_bank(emb, labels, class_count=class_count, ema_beta=ema_beta)
+
+
 def run_stage1(cfg: RunConfig, trial: TrialSetup, source_model: Backbone) -> Stage1Result:
     """Fine-tune on the support set and seed the bank from its embeddings."""
     ft_cfg = replace(cfg.finetune, seed=trial.seeds["fda"])
     tuned, trace = finetune(source_model, trial.support, ft_cfg)
-    emb, labels = embed_records(tuned, trial.support.samples)
-    bank = init_bank(emb, labels, class_count=trial.support.class_count,
-                     ema_beta=cfg.ema_beta)
+    bank = support_bank(tuned, trial.support.samples, trial.support.class_count, cfg.ema_beta)
     return Stage1Result(tuned=tuned, trace=trace, bank=bank)
 
 
-def run_method(cfg: RunConfig, trial: TrialSetup, source_model: Backbone,
-               method: str, stage1: Stage1Result | None = None) -> dict:
-    """Adapt one method over the trial's stream and score it online.
+def adapt_stream(cfg: RunConfig, method: str, model: Backbone, records, stream_seed: int,
+                 bank=None) -> dict:
+    """Batch the records into a stream, run one method over it, return its metric fields.
 
-    The adapted model is always a private copy; callers can reuse
-    source_model and stage1 across methods.
+    The one adapt path of run-all and ``fewshot-tta adapt``. model (and bank,
+    for fs_tta) are adapted in place; seconds times the stream loop only.
     """
-    kind = resolve_method(method)
-    if kind in STAGE1_METHODS:
-        if stage1 is None:
-            raise ConfigError(f"{kind} needs the fine-tuned model; run stage 1 first")
-        base = stage1.tuned
-    else:
-        base = source_model
-    model = base.copy()
-    bank = stage1.bank.copy() if kind == "fs_tta" else None
-    stream = make_stream(trial.remainder, cfg.adapt.batch_size,
-                         trial.seeds["stream"], cfg.stream_order)
+    stream = make_stream(records, cfg.adapt.batch_size, stream_seed, cfg.stream_order)
     t0 = time.perf_counter()
-    metrics = run_baseline(kind, model, stream, cfg.adapt, bank=bank)
+    metrics = run_baseline(method, model, stream, cfg.adapt, bank=bank)
     seconds = time.perf_counter() - t0
     return {
-        "method": kind,
+        "method": metrics.method,
         "final_accuracy": metrics.final_accuracy,
         "correct": metrics.correct,
         "total": metrics.total,
@@ -130,6 +124,21 @@ def run_method(cfg: RunConfig, trial: TrialSetup, source_model: Backbone,
         "adam_skipped": metrics.adam_skipped,
         "seconds": seconds,
     }
+
+
+def run_method(cfg: RunConfig, trial: TrialSetup, source_model: Backbone,
+               method: str, stage1: Stage1Result | None = None) -> dict:
+    """Adapt one method over the trial's stream and score it online.
+
+    The adapted model is always a private copy; callers can reuse
+    source_model and stage1 across methods.
+    """
+    kind = resolve_method(method)
+    if kind in STAGE1_METHODS and stage1 is None:
+        raise ConfigError(f"{kind} needs the fine-tuned model; run stage 1 first")
+    model = (stage1.tuned if kind in STAGE1_METHODS else source_model).copy()
+    bank = stage1.bank.copy() if stage1 else None
+    return adapt_stream(cfg, kind, model, trial.remainder, trial.seeds["stream"], bank)
 
 
 def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict:

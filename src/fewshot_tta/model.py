@@ -251,7 +251,10 @@ def load_model(path) -> Backbone:
         raise DataFormatError(f"{path}: expected 4 channel widths, got {len(widths)}")
     if embed_dim != widths[-1]:
         raise DataFormatError(f"{path}: embedding dim {embed_dim} != last width {widths[-1]}")
-    model = Backbone(widths=widths, num_classes=num_classes)
+    try:
+        model = Backbone(widths=widths, num_classes=num_classes)
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     for name, p in model.params.items():
         nbytes = p.data.size * 8
         if off + nbytes > len(raw):

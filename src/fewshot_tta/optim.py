@@ -82,33 +82,3 @@ class Adam:
             p.data -= st.lr * (m / bias1) / (np.sqrt(v / bias2) + st.eps)
         return True
 
-
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> bool:
-    """Functional single Adam update against explicit gradients.
-
-    Same semantics as :meth:`Adam.step`, for callers that manage gradient
-    buffers themselves.
-    """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            state.skipped_steps += 1
-            logger.warning("non-finite gradient for %r, skipping update (skipped=%d)",
-                           name, state.skipped_steps)
-            return False
-    state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if name not in state.first_moment:
-            state.first_moment[name] = np.zeros_like(p.data)
-            state.second_moment[name] = np.zeros_like(p.data)
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-    return True

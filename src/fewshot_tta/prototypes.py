@@ -8,12 +8,12 @@ computation; the bank guides the online loop rather than being trained.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSimilarityWarning
+from .errors import ConfigError, DataError
+from .tensor import unit_rows
 
 
 @dataclass
@@ -115,7 +115,7 @@ def proto_classify(bank: PrototypeBank, features, temperature: float = 1.0) -> n
 
     features may be one D vector (returns C probabilities) or an N x D batch
     (returns N x C). Zero-norm features or prototypes contribute similarity 0
-    and raise a degenerate-similarity warning, mirroring cosine_sim.
+    and raise a degenerate-similarity warning (see tensor.unit_rows).
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -126,15 +126,7 @@ def proto_classify(bank: PrototypeBank, features, temperature: float = 1.0) -> n
     if f.shape[1] != bank.prototypes.shape[1]:
         raise DataError(f"feature dim {f.shape[1]} != prototype dim {bank.prototypes.shape[1]}")
 
-    f_norms = np.linalg.norm(f, axis=1)
-    p_norms = np.linalg.norm(bank.prototypes, axis=1)
-    if np.any(f_norms == 0.0) or np.any(p_norms == 0.0):
-        warnings.warn("cosine similarity of a zero-norm vector, returning 0",
-                      DegenerateSimilarityWarning)
-    f_unit = np.divide(f, f_norms[:, None], out=np.zeros_like(f), where=f_norms[:, None] != 0)
-    p_unit = np.divide(bank.prototypes, p_norms[:, None],
-                       out=np.zeros_like(bank.prototypes), where=p_norms[:, None] != 0)
-    sims = np.clip(f_unit @ p_unit.T, -1.0, 1.0)
+    sims = np.clip(unit_rows(f) @ unit_rows(bank.prototypes).T, -1.0, 1.0)
 
     z = sims / temperature
     z -= z.max(axis=1, keepdims=True)

@@ -10,7 +10,8 @@ for evaluation; the adaptation functions never receive them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -99,16 +100,15 @@ def init_adapt_state(model: Backbone, bank: PrototypeBank | None, cfg: AdaptConf
 # -- per-sample primitives ----------------------------------------------
 
 
-def entropy(p) -> float:
-    """Shannon entropy of one probability vector, with 0 * log 0 = 0."""
+def entropy(p):
+    """Shannon entropy along the last axis, with 0 * log 0 = 0.
+
+    One probability vector gives a Python float; a B x C batch gives B values.
+    """
     p = np.asarray(p, dtype=np.float64)
     safe = np.where(p > 0.0, p, 1.0)
-    return float(-np.sum(np.where(p > 0.0, p * np.log(safe), 0.0)))
-
-
-def _row_entropies(probs: np.ndarray) -> np.ndarray:
-    safe = np.where(probs > 0.0, probs, 1.0)
-    return -np.sum(np.where(probs > 0.0, probs * np.log(safe), 0.0), axis=1)
+    ent = -np.sum(np.where(p > 0.0, p * np.log(safe), 0.0), axis=-1)
+    return float(ent) if p.ndim == 1 else ent
 
 
 def entropy_filter(batch_probs, alpha: float) -> np.ndarray:
@@ -127,7 +127,7 @@ def entropy_filter(batch_probs, alpha: float) -> np.ndarray:
     take = int(np.floor(alpha * b + 1e-9))
     if take == 0:
         return np.empty(0, dtype=np.intp)
-    ent = _row_entropies(probs)
+    ent = entropy(probs)
     ranked = np.lexsort((np.arange(b), ent))
     return np.sort(ranked[:take])
 
@@ -184,6 +184,18 @@ def entropy_min_loss(logits: Tensor) -> Tensor:
 # -- the adaptation step -------------------------------------------------
 
 
+def _train_step(state: AdaptState, loss: Tensor) -> float:
+    """One Adam step on a finite loss; a non-finite one is counted and skipped."""
+    loss_val = loss.item()
+    if np.isfinite(loss_val):
+        state.opt.zero_grad()
+        loss.backward()
+        state.opt.step()
+    else:
+        state.loss_skipped += 1
+    return loss_val
+
+
 def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
     """Consume one unlabeled batch; returns the predictions made on arrival.
 
@@ -209,15 +221,7 @@ def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
     masks = consistency_mask(probs.data[sel], proto_probs)
 
     loss = online_loss(take_rows(probs, sel), pseudo, masks)
-    loss_val = float("nan")
-    if loss is not None:
-        loss_val = loss.item()
-        if np.isfinite(loss_val):
-            state.opt.zero_grad()
-            loss.backward()
-            state.opt.step()
-        else:
-            state.loss_skipped += 1
+    loss_val = float("nan") if loss is None else _train_step(state, loss)
 
     state.selected_total += int(sel.size)
     state.mask_total += int(masks.sum())
@@ -234,16 +238,17 @@ def tent_batch(state: AdaptState, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     _, logits = state.model.forward(x, mode="eval")
     preds = np.argmax(logits.data, axis=1)
-    loss = entropy_min_loss(logits)
-    loss_val = loss.item()
-    if np.isfinite(loss_val):
-        state.opt.zero_grad()
-        loss.backward()
-        state.opt.step()
-    else:
-        state.loss_skipped += 1
+    loss_val = _train_step(state, entropy_min_loss(logits))
     state.rows.append({"selected": x.shape[0], "mask_rate": 1.0, "loss": loss_val})
     return preds
+
+
+def frozen_batch(state: AdaptState, inputs, batch_stats: bool = False) -> np.ndarray:
+    """Predict without adapting; batch_stats normalizes with the batch's own statistics."""
+    with no_grad():
+        _, logits = state.model.forward(inputs, mode="eval", batch_stats=batch_stats)
+    state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": float("nan")})
+    return np.argmax(logits.data, axis=1)
 
 
 # -- stream plumbing -----------------------------------------------------
@@ -300,50 +305,30 @@ def run_baseline(kind: str, model: Backbone, stream: list[StreamBatch], cfg: Ada
     Hidden labels are only touched here, after each batch's predictions.
     """
     kind = resolve_method(kind)
-    if kind == "fs_tta" and bank is None:
-        raise ConfigError("fs_tta needs a support-initialized prototype bank")
-
-    if kind == "entropy_min" or kind == "ft_plus_entropy_min":
-        state = init_adapt_state(model, None, AdaptConfig(
-            alpha=cfg.alpha, batch_size=cfg.batch_size, lr=cfg.lr,
-            groups=("norm_affine",), predict_with="head", tau=cfg.tau))
-    elif kind == "fs_tta":
-        state = init_adapt_state(model, bank, cfg)
+    if kind == "fs_tta":
+        if bank is None:
+            raise ConfigError("fs_tta needs the support-set prototype bank (--support)")
+        state, step = init_adapt_state(model, bank, cfg), adapt_batch
+    elif kind in ("entropy_min", "ft_plus_entropy_min"):
+        tent_cfg = replace(cfg, groups=("norm_affine",), predict_with="head")
+        state, step = init_adapt_state(model, None, tent_cfg), tent_batch
     else:
         state = init_adapt_state(model, None, cfg, trainable=False)
+        step = partial(frozen_batch, batch_stats=kind == "norm_stat")
 
-    correct = 0
-    total = 0
     curve = []
     for batch in stream:
-        if kind == "fs_tta":
-            preds = adapt_batch(state, batch.inputs)
-        elif kind in ("entropy_min", "ft_plus_entropy_min"):
-            preds = tent_batch(state, batch.inputs)
-        elif kind == "norm_stat":
-            with no_grad():
-                _, logits = model.forward(batch.inputs, mode="eval", batch_stats=True)
-            preds = np.argmax(logits.data, axis=1)
-            state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": float("nan")})
-        else:
-            with no_grad():
-                _, logits = model.forward(batch.inputs, mode="eval")
-            preds = np.argmax(logits.data, axis=1)
-            state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": float("nan")})
-
-        batch_correct = int(np.sum(preds == batch.hidden_labels))
-        correct += batch_correct
-        total += len(batch.hidden_labels)
-        state.online_correct = correct
-        state.online_total = total
+        preds = step(state, batch.inputs)
         row = state.rows[-1]
-        row["batch_correct"] = batch_correct
+        row["batch_correct"] = int(np.sum(preds == batch.hidden_labels))
         row["batch_size"] = len(batch.hidden_labels)
-        row["cumulative_accuracy"] = correct / total
-        curve.append(correct / total)
+        state.online_correct += row["batch_correct"]
+        state.online_total += row["batch_size"]
+        row["cumulative_accuracy"] = state.online_accuracy
+        curve.append(state.online_accuracy)
 
     return StreamMetrics(
-        method=kind, correct=correct, total=total, rows=state.rows,
+        method=kind, correct=state.online_correct, total=state.online_total, rows=state.rows,
         accuracy_curve=curve, selected_total=state.selected_total,
         mask_total=state.mask_total, loss_skipped=state.loss_skipped,
         adam_skipped=state.opt.state.skipped_steps if state.opt else 0)

@@ -595,19 +595,24 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], ep
 # -- similarity ---------------------------------------------------------
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two vectors, clipped into [-1, 1].
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of a 2-d array scaled to unit L2 norm.
 
-    Zero-norm input yields 0.0 with a DegenerateSimilarityWarning instead of
-    NaN, so a degenerate feature cannot poison a downstream softmax.
+    A zero-norm row stays zero, so its cosine with anything is 0 rather than
+    NaN and cannot poison a downstream softmax; it raises a
+    DegenerateSimilarityWarning.
     """
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        warnings.warn("cosine similarity of a zero-norm vector, returning 0", DegenerateSimilarityWarning)
+    return np.divide(x, norms[:, None], out=np.zeros_like(x), where=norms[:, None] != 0)
+
+
+def cosine_sim(a, b) -> float:
+    """Cosine similarity of two vectors, clipped into [-1, 1]; 0.0 for a zero vector."""
     va = np.ravel(a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64))
     vb = np.ravel(b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64))
     if va.shape != vb.shape:
         raise ValueError(f"cosine_sim shape mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("cosine similarity of a zero-norm vector, returning 0", DegenerateSimilarityWarning)
-        return 0.0
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
+    ua, ub = unit_rows(np.stack([va, vb]))
+    return float(np.clip(ua @ ub, -1.0, 1.0))

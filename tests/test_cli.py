@@ -1,13 +1,21 @@
 """Command-line workflows: artifacts, sidecars, exit codes, determinism."""
 
 import json
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from fewshot_tta.cli import main
-from fewshot_tta.config import file_sha256, serialize
+from fewshot_tta import harness
+from fewshot_tta.cli import build_parser, main
+from fewshot_tta.config import config_hash, file_sha256, load_config, seed_plan, serialize
+from fewshot_tta.data import read_dataset, write_dataset
 from fewshot_tta.model import load_model
+from fewshot_tta.stream import resolve_method
 from test_harness import tiny_cfg
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +123,63 @@ class TestAdapt:
                    "--method", "sgd", "--out", str(workspace / "x.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("method, mismatched", [
+        ("erm", "stream"), ("fs_tta", "stream"), ("fs_tta", "support")])
+    def test_class_count_mismatch_is_data_error(self, workspace, cfg_path, tmp_path, capsys,
+                                                 method, mismatched):
+        files = {name: str(workspace / "data" / f"{name}.ttad") for name in ("stream", "support")}
+        wrong = tmp_path / f"{mismatched}4.ttad"
+        write_dataset(wrong, read_dataset(files[mismatched]).records, num_classes=4)
+        files[mismatched] = str(wrong)
+        out = tmp_path / "x.json"
+        rc = main(["adapt", "--config", cfg_path, "--model", str(workspace / "tuned.ttam"),
+                   "--stream", files["stream"], "--support", files["support"],
+                   "--method", method, "--out", str(out)])
+        assert rc == 2
+        assert f"{wrong}: 4 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stored_label_out_of_range_is_data_error(self, workspace, cfg_path, tmp_path):
+        bad = tmp_path / "bad.ttad"
+        blob = bytearray((workspace / "data" / "stream.ttad").read_bytes())
+        blob[32:34] = (9).to_bytes(2, "little")  # first record's label
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "x.json"
+        rc = main(["adapt", "--config", cfg_path, "--model", str(workspace / "source.ttam"),
+                   "--stream", str(bad), "--method", "erm", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["erm", "bn", "tent", "fs_tta"])
+    def test_document_is_shared_path_fields_plus_sidecar(self, workspace, cfg_path, tmp_path,
+                                                         method):
+        model_path = workspace / ("tuned.ttam" if method == "fs_tta" else "source.ttam")
+        stream_path = workspace / "data" / "stream.ttad"
+        support_path = workspace / "data" / "support.ttad"
+        out = tmp_path / "m.json"
+        rc = main(["adapt", "--config", cfg_path, "--model", str(model_path),
+                   "--stream", str(stream_path), "--support", str(support_path),
+                   "--method", method, "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+
+        cfg = replace(load_config(cfg_path), method=resolve_method(method))
+        model = load_model(model_path)
+        support = read_dataset(support_path)
+        bank = harness.support_bank(model, support.records, support.num_classes, cfg.ema_beta)
+        fields = harness.adapt_stream(cfg, cfg.method, model, read_dataset(stream_path).records,
+                                      seed_plan(cfg)["stream"], bank)
+        fields.pop("seconds")
+        # json text compares floats bitwise and NaN losses as equal
+        assert json.dumps({k: doc[k] for k in fields}, sort_keys=True) == \
+            json.dumps(fields, sort_keys=True)
+        sidecar = {k: v for k, v in doc.items() if k not in fields and k != "seconds"}
+        assert sidecar == {
+            "config": json.loads(serialize(cfg)), "config_hash": config_hash(cfg),
+            "schema": harness.METRICS_SCHEMA, "comparison_hash": harness.comparison_hash(cfg),
+            "data_hash": file_sha256(stream_path), "num_classes": support.num_classes,
+        }
+
     def test_corrupt_model_is_data_error(self, workspace, cfg_path, tmp_path):
         bad = tmp_path / "bad.ttam"
         bad.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -198,3 +263,18 @@ class TestExitCodes:
         path.write_text("{]")
         rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")])
         assert rc == 1
+
+
+def test_readme_cli_block_parses():
+    text = README.read_text()
+    block = text[text.index("## CLI"):].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("fewshot-tta ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    unparsed = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            unparsed.append(line)
+    assert unparsed == []

@@ -20,6 +20,7 @@ from fewshot_tta.errors import (
     BadMagicError,
     ConfigError,
     DataError,
+    DataFormatError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -187,6 +188,17 @@ class TestDatasetFile:
         records = [SampleRecord(label=7, pixels=np.zeros((1, 2, 2)), domain_id=0)]
         with pytest.raises(DataError, match="label"):
             write_dataset(tmp_path / "x.ttad", records, num_classes=4)
+
+    def test_stored_label_out_of_range_is_format_error(self, tmp_path):
+        path = tmp_path / "l.ttad"
+        write_dataset(path, self.make_records(3), num_classes=6)
+        blob = bytearray(path.read_bytes())
+        # the second record's u16 label follows the 32-byte header and one record
+        off = 32 + 2 + 4 * 3 * 4 * 4
+        blob[off: off + 2] = (9).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="record 1 has label 9"):
+            read_dataset(path)
 
     def test_mixed_domains_rejected(self, tmp_path):
         records = [SampleRecord(label=0, pixels=np.zeros((1, 2, 2)), domain_id=0),

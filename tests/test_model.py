@@ -232,6 +232,19 @@ class TestModelFile:
         with pytest.raises(TruncatedFileError, match="head"):
             load_model(path)
 
+    @pytest.mark.parametrize("offset, value, message", [
+        (16, 0, "widths"),        # second channel width
+        (32, 1, "num_classes"),   # class count, after the 4 widths and embed_dim
+    ])
+    def test_bad_architecture_is_format_error(self, small_model, tmp_path, offset, value, message):
+        path = tmp_path / "a.ttam"
+        save_model(path, small_model)
+        blob = bytearray(path.read_bytes())
+        blob[offset: offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=message):
+            load_model(path)
+
     def test_trailing_garbage_rejected(self, small_model, tmp_path):
         path = tmp_path / "g.ttam"
         save_model(path, small_model)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fewshot_tta import Adam, AdamState, Tensor, adam_step, finite_diff_check
+from fewshot_tta import Adam, Tensor, finite_diff_check
 
 import oracles
 
@@ -88,33 +88,6 @@ class TestAdamClass:
         opt = Adam(params, lr=0.1)
         assert opt.step()
         assert params["w"].data[0] == 4.0
-
-
-class TestFunctionalAdamStep:
-    def test_matches_class_api(self):
-        grads_seq = [np.array([0.3]), np.array([-0.7])]
-
-        params_c = make_param([0.5])
-        opt = Adam(params_c, lr=0.01)
-        for g in grads_seq:
-            params_c["w"].grad = g.copy()
-            opt.step()
-
-        params_f = make_param([0.5])
-        state = AdamState(lr=0.01)
-        for g in grads_seq:
-            assert adam_step(params_f, {"w": g.copy()}, state)
-
-        assert np.allclose(params_c["w"].data, params_f["w"].data, atol=1e-15)
-        assert state.step_count == 2
-
-    def test_functional_skip_semantics(self):
-        params = make_param([1.0])
-        state = AdamState(lr=0.1)
-        assert not adam_step(params, {"w": np.array([np.nan])}, state)
-        assert np.array_equal(params["w"].data, [1.0])
-        assert state.skipped_steps == 1
-        assert state.step_count == 0
 
 
 class TestGradcheckHarness:

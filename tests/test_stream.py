@@ -54,6 +54,14 @@ class TestEntropy:
             p = rng.dirichlet(np.ones(5))
             assert entropy(p) == pytest.approx(oracles.entropy_loops(p), abs=1e-12)
 
+    def test_batch_gives_each_row_bitwise(self, rng):
+        probs = rng.dirichlet(np.ones(5), size=7)
+        probs[2] = [0.0, 1.0, 0.0, 0.0, 0.0]
+        rows = entropy(probs)
+        assert isinstance(entropy(probs[0]), float)
+        assert rows.shape == (7,)
+        assert all(rows[i] == entropy(probs[i]) for i in range(7))
+
 
 class TestEntropyFilter:
     def test_selects_most_confident(self):

@@ -22,7 +22,7 @@ from fewshot_tta import (
     take_rows,
 )
 from fewshot_tta.errors import DegenerateSimilarityWarning
-from fewshot_tta.tensor import _normalize
+from fewshot_tta.tensor import _normalize, unit_rows
 
 import oracles
 
@@ -309,6 +309,14 @@ class TestCosineSim:
             s = cosine_sim(Tensor(a), Tensor(b))
             assert -1.0 <= s <= 1.0
             assert s == pytest.approx(oracles.cosine_loops(list(a), list(b)), abs=1e-12)
+
+    def test_unit_rows_keeps_zero_rows_zero(self, rng):
+        x = rng.normal(size=(4, 3))
+        x[1] = 0.0
+        with pytest.warns(DegenerateSimilarityWarning):
+            u = unit_rows(x)
+        assert np.array_equal(u[1], np.zeros(3))
+        assert np.allclose(np.linalg.norm(u[[0, 2, 3]], axis=1), 1.0, atol=1e-15)
 
 
 def _check(fn, params, tol=1e-4, h=1e-5):

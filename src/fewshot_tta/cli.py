@@ -122,7 +122,7 @@ def cmd_train_source(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _config_from(args)
     model = load_model(args.model)
-    ds = read_dataset(args.support)
+    ds = _read_for_model(args.support, model, args.model)
     counts = {}
     for rec in ds.records:
         counts[rec.label] = counts.get(rec.label, 0) + 1

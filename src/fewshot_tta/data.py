@@ -168,6 +168,11 @@ def split_support(target_data: list[SampleRecord], k: int, seed: int) -> tuple[S
 _HEADER = struct.Struct("<4sIIIIIII")  # magic, version, n, C, H, W, num_classes, domain_id
 
 
+def _record_dtype(c: int, h: int, w: int) -> np.dtype:
+    """One packed TTAD record: a u16 label, then C x H x W f32 pixels."""
+    return np.dtype([("label", "<u2"), ("pixels", "<f4", (c, h, w))])
+
+
 def write_dataset(path, records: list[SampleRecord], num_classes: int,
                   domain_id: int | None = None) -> None:
     """Write records as one little-endian TTAD file (u16 labels, f32 pixels)."""
@@ -190,12 +195,14 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int,
             raise DataError(f"label {rec.label} out of range for {num_classes} classes")
         if not np.all(np.isfinite(rec.pixels)):
             raise DataError("non-finite pixel values")
+    table = np.empty(len(records), dtype=_record_dtype(c, h, w))
+    table["label"] = [rec.label for rec in records]
+    if records:
+        table["pixels"] = np.stack([rec.pixels for rec in records])
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(records), c, h, w,
                              num_classes, domain_id))
-        for rec in records:
-            f.write(struct.pack("<H", rec.label))
-            f.write(rec.pixels.astype("<f4").tobytes())
+        f.write(table.tobytes())
 
 
 def read_dataset(path) -> Dataset:
@@ -213,18 +220,18 @@ def read_dataset(path) -> Dataset:
     expected = _HEADER.size + n * rec_bytes
     if len(raw) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes for {n} records, got {len(raw)}")
-    records = []
-    off = _HEADER.size
-    for i in range(n):
-        (label,) = struct.unpack_from("<H", raw, off)
-        if label >= num_classes:
-            raise DataFormatError(f"{path}: record {i} has label {label}, "
-                                  f"out of range for {num_classes} classes")
-        off += 2
-        pixels = np.frombuffer(raw, dtype="<f4", count=c * h * w, offset=off).astype(np.float64)
-        off += 4 * c * h * w
-        records.append(SampleRecord(label=int(label), pixels=pixels.reshape(c, h, w),
-                                    domain_id=domain_id))
+    if n == 0:
+        return Dataset(records=[], num_classes=num_classes, domain_id=domain_id)
+    # the size check above bounds c * h * w, so the record dtype is small
+    table = np.frombuffer(raw, dtype=_record_dtype(c, h, w), count=n, offset=_HEADER.size)
+    labels = table["label"]
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        raise DataFormatError(f"{path}: record {bad[0]} has label {labels[bad[0]]}, "
+                              f"out of range for {num_classes} classes")
+    pixels = table["pixels"].astype(np.float64)
+    records = [SampleRecord(label=label, pixels=pix, domain_id=domain_id)
+               for label, pix in zip(labels.tolist(), pixels)]
     return Dataset(records=records, num_classes=num_classes, domain_id=domain_id)
 
 

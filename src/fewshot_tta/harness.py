@@ -21,7 +21,6 @@ from .finetune import eval_accuracy, finetune
 from .model import Backbone, train_source
 from .prototypes import init_bank
 from .stream import make_stream, resolve_method, run_baseline
-from .tensor import no_grad
 
 RUN_SCHEMA = "fewshot-tta-run/1"
 METRICS_SCHEMA = "fewshot-tta-metrics/1"
@@ -81,9 +80,7 @@ def make_trial(cfg: RunConfig, bench: Bench) -> TrialSetup:
 def embed_records(model: Backbone, records) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode embeddings and labels, no graphs."""
     x, y = records_as_arrays(records)
-    with no_grad():
-        emb, _ = model.forward(x, mode="eval")
-    return emb.data, y
+    return model.infer(x)[0], y
 
 
 def support_bank(model: Backbone, records, class_count: int, ema_beta: float):

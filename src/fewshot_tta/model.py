@@ -34,6 +34,7 @@ from .tensor import (
     matmul,
     no_grad,
     relu,
+    sample_chunks,
     softmax_cross_entropy,
     tmean,
 )
@@ -151,6 +152,24 @@ class Backbone:
         logits = matmul(embedding, self.params["head.weight"]) + self.params["head.bias"]
         return embedding, logits
 
+    def infer(self, x, batch_stats: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode (embedding N x D, logits N x C) arrays, computed without graphs.
+
+        With instance statistics each sample's output depends on that sample
+        alone, so the network runs over ``sample_chunks`` and a chunk's
+        activations stay in cache; the result is bitwise that of one
+        whole-batch forward. Batch statistics pool over the whole batch, so
+        that path runs one forward (its convolutions still go in chunks).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        with no_grad():
+            if batch_stats or x.ndim != 4:
+                emb, logits = self.forward(x, mode="eval", batch_stats=batch_stats)
+                return emb.data, logits.data
+            parts = [self.forward(x[s], mode="eval") for s in sample_chunks(len(x), *x.shape[2:])]
+        return (np.concatenate([emb.data for emb, _ in parts]),
+                np.concatenate([logits.data for _, logits in parts]))
+
 
 # -- source training -----------------------------------------------------
 
@@ -267,12 +286,6 @@ def load_model(path) -> Backbone:
     return model
 
 
-def predict(model: Backbone, x, batch_size: int = 256) -> np.ndarray:
+def predict(model: Backbone, x) -> np.ndarray:
     """Eval-mode argmax class indices, computed without building graphs."""
-    x = np.asarray(x, dtype=np.float64)
-    out = []
-    with no_grad():
-        for start in range(0, x.shape[0], batch_size):
-            _, logits = model.forward(x[start: start + batch_size], mode="eval")
-            out.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    return np.argmax(model.infer(x)[1], axis=1)

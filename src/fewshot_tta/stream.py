@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError
 from .model import Backbone
 from .optim import Adam
 from .prototypes import PrototypeBank, ema_update, proto_classify
-from .tensor import Tensor, log, mul, neg, no_grad, softmax, softmax_entropy, take_rows, tsum
+from .tensor import Tensor, log, mul, neg, softmax, softmax_entropy, take_rows, tsum
 
 BASELINE_KINDS = ("source_only", "norm_stat", "entropy_min", "ft_only",
                   "ft_plus_entropy_min", "fs_tta")
@@ -245,10 +245,9 @@ def tent_batch(state: AdaptState, inputs) -> np.ndarray:
 
 def frozen_batch(state: AdaptState, inputs, batch_stats: bool = False) -> np.ndarray:
     """Predict without adapting; batch_stats normalizes with the batch's own statistics."""
-    with no_grad():
-        _, logits = state.model.forward(inputs, mode="eval", batch_stats=batch_stats)
+    _, logits = state.model.infer(inputs, batch_stats=batch_stats)
     state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": float("nan")})
-    return np.argmax(logits.data, axis=1)
+    return np.argmax(logits, axis=1)
 
 
 # -- stream plumbing -----------------------------------------------------

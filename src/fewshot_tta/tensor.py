@@ -367,6 +367,23 @@ def matmul(a, b) -> Tensor:
 
 # -- convolution --------------------------------------------------------
 
+# Columns of one im2col chunk when a convolution runs a few samples at a
+# time: 8 samples at 16 x 16, so a chunk's window matrix is 4.7 MB at 32
+# input channels rather than 37.7 MB for a batch of 64, and stays in cache.
+CHUNK_COLUMNS = 2048
+
+
+def sample_chunks(n: int, h: int, w: int) -> list[slice]:
+    """Consecutive slices of about CHUNK_COLUMNS // (H*W) samples that cover range(n).
+
+    A lone trailing sample joins the chunk before it: a one-row matrix
+    product goes through a matrix-vector kernel, whose sums can differ in the
+    last bit from the same row computed inside a larger product.
+    """
+    step = max(1, CHUNK_COLUMNS // (h * w))
+    starts = list(range(0, max(n - 1, 1), step))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
 
 def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     """The (C*k*k, N*H*W) matrix of zero-padded k x k windows of N x C x H x W ``a``.
@@ -384,14 +401,32 @@ def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, n * h * w)
 
 
+def _conv_chunked(a: np.ndarray, kmat: np.ndarray, k: int) -> np.ndarray:
+    """Same-padded convolution of N x C x H x W ``a`` with an O x (C*k*k) kernel matrix.
+
+    Runs over ``sample_chunks``: one chunk's im2col matrix and one GEMM at a
+    time, written into a C-contiguous N x O x H x W array. Every output
+    column is the same dot product as in the whole-batch GEMM, so the result
+    is bitwise that of ``kmat @ _im2col(a, k)``.
+    """
+    n, _, h, w = a.shape
+    o = kmat.shape[0]
+    out = np.empty((n, o, h, w), dtype=np.float64)
+    for s in sample_chunks(n, h, w):
+        out[s] = (kmat @ _im2col(a[s], k)).reshape(o, -1, h, w).transpose(1, 0, 2, 3)
+    return out
+
+
 def conv2d(x, weight) -> Tensor:
     """2-d convolution, stride 1, zero padding that preserves H and W.
 
-    ``x`` is N x C x H x W, ``weight`` is O x C x k x k with odd k. Forward
-    is one GEMM of the kernel matrix with the im2col matrix of ``x``, and
-    the weight gradient is one GEMM of the output gradient with that same
-    matrix. The input gradient, computed only when ``x`` requires grad, is
-    the same-padded convolution of the output gradient with the kernel
+    ``x`` is N x C x H x W, ``weight`` is O x C x k x k with odd k. When the
+    graph needs the weight gradient, forward is one GEMM of the kernel matrix
+    with the im2col matrix of ``x``, kept for the weight gradient: one GEMM
+    of the output gradient with that same matrix. Otherwise (no grad, or a
+    kernel that needs none) forward runs in sample chunks (``_conv_chunked``).
+    The input gradient, computed only when ``x`` requires grad, is the
+    chunked same-padded convolution of the output gradient with the kernel
     flipped in space and transposed in channels.
     """
     x, weight = as_tensor(x), as_tensor(weight)
@@ -406,17 +441,23 @@ def conv2d(x, weight) -> Tensor:
     if k % 2 != 1:
         raise ValueError(f"conv2d kernel size must be odd to preserve H and W, got {k}")
 
-    cols = _im2col(x.data, k)
-    out = (weight.data.reshape(o, c * k * k) @ cols).reshape(o, n, h, w).transpose(1, 0, 2, 3)
+    kmat = weight.data.reshape(o, c * k * k)
+    cols = None
+    if _grad_enabled and weight.requires_grad:
+        cols = _im2col(x.data, k)
+        out = (kmat @ cols).reshape(o, n, h, w).transpose(1, 0, 2, 3)
+    else:
+        out = _conv_chunked(x.data, kmat, k)
 
     def backward(g):
-        g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
-        gw = (g_mat @ cols.T).reshape(o, c, k, k)
+        gw = None
+        if cols is not None:
+            g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
+            gw = (g_mat @ cols.T).reshape(o, c, k, k)
         if not x.requires_grad:
             return None, gw
         flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-        gx = (flipped @ _im2col(g, k)).reshape(c, n, h, w).transpose(1, 0, 2, 3)
-        return gx, gw
+        return _conv_chunked(g, flipped, k), gw
 
     return _result(out, (x, weight), backward)
 

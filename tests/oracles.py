@@ -1,15 +1,17 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here except ``normalize_graph`` is written with explicit Python
-loops over plain floats, on purpose: these functions must not share any code
-path with the vectorized implementations they check. ``normalize_graph``
-composes elementary autodiff ops, so that its gradients come from the chain
-rule rather than from the closed form it checks.
+Everything here except ``normalize_graph`` and ``conv2d_input_grad_full`` is
+written with explicit Python loops over plain floats, on purpose: these
+functions must not share any code path with the vectorized implementations
+they check. ``normalize_graph`` composes elementary autodiff ops, so that its
+gradients come from the chain rule rather than from the closed form it checks.
+``conv2d_input_grad_full`` is the whole-batch formula that the sample-chunked
+conv2d input gradient must reproduce bit for bit.
 """
 
 import math
 
-from fewshot_tta.tensor import add, div, mul, reshape, sqrt, sub, tmean
+from fewshot_tta.tensor import _im2col, add, div, mul, reshape, sqrt, sub, tmean
 
 
 def conv2d_loops(x, w):
@@ -31,6 +33,19 @@ def conv2d_loops(x, w):
                                     acc += x[ni][ci][ii][jj] * w[oi][ci][ki][kj]
                     out[ni][oi][i][j] = acc
     return out
+
+
+def conv2d_input_grad_full(g, w):
+    """The conv2d input gradient as one GEMM over the whole batch's im2col of ``g``.
+
+    ``g`` is the N x O x H x W output gradient and ``w`` the O x C x k x k
+    kernel; the result is the same-padded convolution of ``g`` with the
+    kernel flipped in space and transposed in channels.
+    """
+    n, _, h, wd = g.shape
+    o, c, k, _ = w.shape
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+    return (flipped @ _im2col(g, k)).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def channel_stats_loops(x):

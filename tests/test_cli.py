@@ -82,6 +82,19 @@ class TestFinetune:
         assert trace[0] == "epoch,loss,support_acc"
         assert len(trace) == 6
 
+    def test_support_class_count_mismatch_is_data_error(self, workspace, cfg_path, tmp_path,
+                                                         capsys):
+        records = read_dataset(workspace / "data" / "support.ttad").records
+        relabeled = [replace(rec, label=i % 5) for i, rec in enumerate(records)]
+        wrong = tmp_path / "support5.ttad"
+        write_dataset(wrong, relabeled, num_classes=5)
+        out = tmp_path / "tuned5.ttam"
+        rc = main(["finetune", "--config", cfg_path, "--model", str(workspace / "source.ttam"),
+                   "--support", str(wrong), "--out", str(out)])
+        assert rc == 2
+        assert f"{wrong}: 5 classes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [wrong]
+
 
 class TestAdapt:
     def test_source_only_leaves_model_file_untouched(self, workspace, cfg_path):

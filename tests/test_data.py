@@ -200,6 +200,32 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="record 1 has label 9"):
             read_dataset(path)
 
+    def test_first_stored_label_at_or_above_class_count_is_named(self, tmp_path):
+        path = tmp_path / "l.ttad"
+        write_dataset(path, self.make_records(4), num_classes=6)
+        blob = bytearray(path.read_bytes())
+        rec_bytes = 2 + 4 * 3 * 4 * 4
+        for i, label in ((1, 6), (3, 9)):
+            off = 32 + i * rec_bytes
+            blob[off: off + 2] = label.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="record 1 has label 6, out of range for 6"):
+            read_dataset(path)
+
+    def test_one_byte_short_is_truncated(self, tmp_path):
+        path = tmp_path / "t.ttad"
+        write_dataset(path, self.make_records(), num_classes=4)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFileError, match="for 10 records"):
+            read_dataset(path)
+
+    def test_records_are_plain_ints_and_float64_images(self, tmp_path):
+        path = tmp_path / "d.ttad"
+        write_dataset(path, self.make_records(3), num_classes=4)
+        for rec in read_dataset(path).records:
+            assert type(rec.label) is int
+            assert rec.pixels.dtype == np.float64 and rec.pixels.shape == (3, 4, 4)
+
     def test_mixed_domains_rejected(self, tmp_path):
         records = [SampleRecord(label=0, pixels=np.zeros((1, 2, 2)), domain_id=0),
                    SampleRecord(label=0, pixels=np.zeros((1, 2, 2)), domain_id=1)]

@@ -253,7 +253,46 @@ class TestModelFile:
             load_model(path)
 
 
+@pytest.fixture
+def default_model(rng):
+    """The default widths at 16 x 16, with a nonzero head so logits carry the embedding."""
+    model = Backbone(num_classes=6, init_seed=3)
+    model.params["head.weight"].data = rng.normal(size=(32, 6))
+    model.params["head.bias"].data = rng.normal(size=6)
+    return model
+
+
+class TestInfer:
+    @pytest.mark.parametrize("n", [1, 8, 9, 13, 17, 20])
+    @pytest.mark.parametrize("batch_stats", [False, True])
+    def test_equals_graph_mode_forward(self, default_model, rng, n, batch_stats):
+        x = rng.normal(size=(n, 3, 16, 16))
+        emb, logits = default_model.forward(x, batch_stats=batch_stats)
+        assert logits.requires_grad
+        with no_grad():
+            _, nograd_logits = default_model.forward(x, batch_stats=batch_stats)
+        inf_emb, inf_logits = default_model.infer(x, batch_stats=batch_stats)
+        assert np.array_equal(nograd_logits.data, logits.data)
+        assert np.array_equal(inf_emb, emb.data)
+        assert np.array_equal(inf_logits, logits.data)
+
+    def test_bad_input_rejected(self, default_model, rng):
+        with pytest.raises(DataError, match="input must be"):
+            default_model.infer(rng.normal(size=(20, 4, 16, 16)))
+        x = rng.normal(size=(20, 3, 16, 16))
+        x[17, 0, 3, 3] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            default_model.infer(x)
+
+
 class TestPredict:
+    def test_batch_equals_per_sample(self, default_model, rng):
+        x = rng.normal(size=(256, 3, 16, 16))
+        preds = predict(default_model, x)
+        assert np.array_equal(preds, [predict(default_model, x[i: i + 1])[0] for i in range(len(x))])
+        _, logits = default_model.forward(x)
+        assert np.array_equal(preds, np.argmax(logits.data, axis=1))
+
     def test_matches_forward_argmax(self, small_model, rng):
         x = rng.normal(size=(5, 3, 8, 8))
         with no_grad():

@@ -22,7 +22,7 @@ from fewshot_tta import (
     take_rows,
 )
 from fewshot_tta.errors import DegenerateSimilarityWarning
-from fewshot_tta.tensor import _normalize, unit_rows
+from fewshot_tta.tensor import _normalize, sample_chunks, unit_rows
 
 import oracles
 
@@ -231,7 +231,29 @@ CONV_SHAPES = [((2, 3, 4, 7), (2, 3, 3, 3)),
                ((2, 2, 6, 3), (3, 2, 5, 5))]
 
 
+# (x shape, kernel shape) around the column budget: chunk edges at N = 7, 8,
+# 13 and 64 at 16 x 16 (8 samples a chunk), H != W, k = 5, and one sample
+# whose 48 x 48 = 2304 columns exceed the budget (1-sample chunks)
+CHUNK_SHAPES = [((1, 3, 16, 16), (4, 3, 3, 3)),
+                ((7, 4, 16, 16), (5, 4, 3, 3)),
+                ((8, 4, 16, 16), (5, 4, 3, 3)),
+                ((13, 4, 16, 16), (5, 4, 3, 3)),
+                ((64, 8, 16, 16), (8, 8, 3, 3)),
+                ((13, 3, 12, 20), (4, 3, 5, 5)),
+                ((3, 2, 48, 48), (3, 2, 3, 3))]
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("n,h,w,sizes", [
+        (0, 16, 16, [0]), (1, 16, 16, [1]), (8, 16, 16, [8]), (9, 16, 16, [9]),
+        (16, 16, 16, [8, 8]), (17, 16, 16, [8, 9]), (20, 16, 16, [8, 8, 4]),
+        (3, 48, 48, [1, 2]), (5, 8, 8, [5])])
+    def test_sample_chunks_cover_without_a_lone_trailing_sample(self, n, h, w, sizes):
+        chunks = sample_chunks(n, h, w)
+        assert [s.stop - s.start for s in chunks] == sizes
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(2, 3, 5, 5))
         w = rng.normal(size=(4, 3, 3, 3))
@@ -260,6 +282,27 @@ class TestConv2d:
             assert (xt.grad is None) == (not x_grad)
             grads.append(wt.grad)
         assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("xs,ws", CHUNK_SHAPES)
+    def test_no_grad_equals_graph_mode(self, rng, xs, ws):
+        x, w = rng.normal(size=xs), rng.normal(size=ws)
+        graph = conv2d(Tensor(x), Tensor(w, requires_grad=True))
+        assert graph.requires_grad
+        with no_grad():
+            chunked = conv2d(Tensor(x), Tensor(w, requires_grad=True))
+        frozen_kernel = conv2d(Tensor(x, requires_grad=True), Tensor(w))
+        assert np.array_equal(chunked.data, graph.data)
+        assert np.array_equal(frozen_kernel.data, graph.data)
+        assert chunked.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("xs,ws", CHUNK_SHAPES)
+    @pytest.mark.parametrize("kernel_grad", [False, True])
+    def test_input_grad_equals_full_im2col_formula(self, rng, xs, ws, kernel_grad):
+        x, w = rng.normal(size=xs), rng.normal(size=ws)
+        probe = rng.normal(size=(xs[0], ws[0], xs[2], xs[3]))
+        xt = Tensor(x, requires_grad=True)
+        conv2d(xt, Tensor(w, requires_grad=kernel_grad)).backward(probe)
+        assert np.array_equal(xt.grad, oracles.conv2d_input_grad_full(probe, w))
 
     def test_identity_kernel(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -27,10 +28,22 @@ from .stream import resolve_method
 
 
 def _write_json(path, doc):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write doc to path atomically: a temp file beside it, then os.replace.
+
+    A document that fails to serialize leaves any previous file untouched
+    and no temp file behind. A stale temp file of a killed earlier run with
+    the same pid is overwritten.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _config_from(args) -> RunConfig:

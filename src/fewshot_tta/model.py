@@ -91,21 +91,29 @@ class Backbone:
         return groups
 
     def trainable_params(self, groups=PARAM_GROUPS) -> dict[str, Tensor]:
-        """The named parameters belonging to the requested groups."""
+        """The named parameters belonging to the requested groups.
+
+        Marks exactly these as requiring grad and freezes every other
+        parameter, so a backward computes no gradient (and keeps no im2col
+        matrix) for a parameter left out. ``copy`` unfreezes them again.
+        """
         bad = set(groups) - set(PARAM_GROUPS)
         if bad:
             raise ConfigError(f"unknown parameter groups {sorted(bad)}; valid: {PARAM_GROUPS}")
         by_group = self.param_groups()
         names = [n for g in PARAM_GROUPS if g in groups for n in by_group[g]]
+        for n, p in self.params.items():
+            p.requires_grad = n in names
         return {n: self.params[n] for n in names}
 
     def copy(self) -> "Backbone":
+        """A deep copy whose parameters all require grad, as a new model's do."""
         dup = Backbone.__new__(Backbone)
         dup.widths = self.widths
         dup.num_classes = self.num_classes
         dup.embed_dim = self.embed_dim
         dup.hook_sites = self.hook_sites
-        dup.params = {name: Tensor(p.data.copy(), requires_grad=p.requires_grad)
+        dup.params = {name: Tensor(p.data.copy(), requires_grad=True)
                       for name, p in self.params.items()}
         return dup
 

@@ -1,17 +1,23 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here except ``normalize_graph`` and ``conv2d_input_grad_full`` is
-written with explicit Python loops over plain floats, on purpose: these
-functions must not share any code path with the vectorized implementations
-they check. ``normalize_graph`` composes elementary autodiff ops, so that its
-gradients come from the chain rule rather than from the closed form it checks.
-``conv2d_input_grad_full`` is the whole-batch formula that the sample-chunked
-conv2d input gradient must reproduce bit for bit.
+Everything here except ``normalize_graph``, ``conv2d_input_grad_full`` and
+``adapt_batch_full_graph`` is written with explicit Python loops over plain
+floats, on purpose: these functions must not share any code path with the
+vectorized implementations they check. ``normalize_graph`` composes
+elementary autodiff ops, so that its gradients come from the chain rule
+rather than from the closed form it checks. ``conv2d_input_grad_full`` is the
+whole-batch formula that the sample-chunked conv2d input gradient must
+reproduce bit for bit. ``adapt_batch_full_graph`` is the whole-batch
+formulation of the fs_tta step that ``stream.adapt_batch`` must reproduce.
 """
 
 import math
 
-from fewshot_tta.tensor import _im2col, add, div, mul, reshape, sqrt, sub, tmean
+import numpy as np
+
+from fewshot_tta.prototypes import ema_update, proto_classify
+from fewshot_tta.stream import consistency_mask, entropy_filter, online_loss, pseudo_label
+from fewshot_tta.tensor import _im2col, add, div, mul, reshape, softmax, sqrt, sub, take_rows, tmean
 
 
 def conv2d_loops(x, w):
@@ -46,6 +52,32 @@ def conv2d_input_grad_full(g, w):
     o, c, k, _ = w.shape
     flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
     return (flipped @ _im2col(g, k)).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+
+
+def adapt_batch_full_graph(model, bank, cfg, x):
+    """The fs_tta step's decisions and loss gradient from one whole-batch graph forward.
+
+    Every row goes through the graph; the selected rows are gathered with
+    ``take_rows`` and the masked ``online_loss`` zeroes the rest. Leaves the
+    loss gradient in each parameter's ``.grad`` (no optimizer step) and
+    returns (predictions, selected indices, masks, loss value or None).
+    """
+    for p in model.params.values():
+        p.grad = None
+    emb, logits = model.forward(x, mode="eval")
+    probs = softmax(logits)
+    if cfg.predict_with == "proto":
+        preds = np.argmax(proto_classify(bank, emb.data, cfg.tau), axis=1)
+    else:
+        preds = np.argmax(logits.data, axis=1)
+    sel = entropy_filter(probs.data, cfg.alpha)
+    pseudo = pseudo_label(logits.data[sel])
+    ema_update(bank, emb.data[sel], pseudo)
+    masks = consistency_mask(probs.data[sel], proto_classify(bank, emb.data[sel], cfg.tau))
+    loss = online_loss(take_rows(probs, sel), pseudo, masks)
+    if loss is not None:
+        loss.backward()
+    return preds, sel, masks, None if loss is None else loss.item()
 
 
 def channel_stats_loops(x):

@@ -1,6 +1,7 @@
 """Command-line workflows: artifacts, sidecars, exit codes, determinism."""
 
 import json
+import os
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fewshot_tta import harness
-from fewshot_tta.cli import build_parser, main
+from fewshot_tta.cli import _write_json, build_parser, main
 from fewshot_tta.config import config_hash, file_sha256, load_config, seed_plan, serialize
 from fewshot_tta.data import read_dataset, write_dataset
 from fewshot_tta.model import load_model
@@ -276,6 +277,24 @@ class TestExitCodes:
         path.write_text("{]")
         rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")])
         assert rc == 1
+
+
+def test_write_json_is_atomic(tmp_path):
+    path = tmp_path / "metrics.json"
+    _write_json(path, {"accuracy": 0.5})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json(path, {"accuracy": 0.75, "classes": {1, 2}})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
+    _write_json(path, {"accuracy": 0.75})
+    assert json.loads(path.read_text()) == {"accuracy": 0.75}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
+    stale = tmp_path / f".metrics.json.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run")
+    _write_json(path, {"accuracy": 1.0})
+    assert json.loads(path.read_text()) == {"accuracy": 1.0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
 
 
 def test_readme_cli_block_parses():

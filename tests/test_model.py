@@ -118,6 +118,14 @@ class TestParamGroups:
             else:
                 assert np.array_equal(p.data, before[name]), name
 
+    def test_only_chosen_groups_require_grad(self, small_model):
+        chosen = small_model.trainable_params(("norm_affine", "head"))
+        for name, p in small_model.params.items():
+            assert p.requires_grad == (name in chosen), name
+        assert all(p.requires_grad for p in small_model.copy().params.values())
+        small_model.trainable_params()
+        assert all(p.requires_grad for p in small_model.params.values())
+
     def test_unknown_group_rejected(self, small_model):
         with pytest.raises(ConfigError):
             small_model.trainable_params(("conv", "bananas"))

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
-from fewshot_tta.data import SampleRecord
+from fewshot_tta import tensor
+from fewshot_tta.data import SampleRecord, SupportSet
 from fewshot_tta.errors import ConfigError, DataError
+from fewshot_tta.fda import FdaConfig
+from fewshot_tta.finetune import FinetuneConfig, finetune
 from fewshot_tta.model import Backbone
-from fewshot_tta.prototypes import init_bank
-from fewshot_tta.stream import (AdaptConfig, adapt_batch, consistency_mask, entropy,
-                                entropy_filter, entropy_min_loss, init_adapt_state,
-                                make_stream, online_loss, pseudo_label, resolve_method,
-                                run_baseline, tent_batch)
+from fewshot_tta.optim import Adam
+from fewshot_tta.prototypes import PrototypeBank, init_bank, proto_classify
+from fewshot_tta.stream import (WHOLE_GRAPH_SHARE, AdaptConfig, adapt_batch,
+                                consistency_mask, entropy, entropy_filter, entropy_min_loss,
+                                init_adapt_state, make_stream, online_loss, pseudo_label,
+                                resolve_method, run_baseline, selected_count, tent_batch)
 from fewshot_tta.tensor import Tensor, softmax
 
 
@@ -32,7 +36,6 @@ def _bank(rng, model, num_classes=4):
 def _aligned_bank(model):
     # prototypes along the head's weight columns, so head and prototype
     # argmax agree often enough for masked updates to actually fire
-    from fewshot_tta.prototypes import PrototypeBank
     return PrototypeBank(model.params["head.weight"].data.T.copy())
 
 
@@ -258,9 +261,124 @@ class TestAdaptBatch:
         state = init_adapt_state(model, bank, AdaptConfig(alpha=0.5, predict_with="proto"))
         x = rng.normal(size=(6, 3, 8, 8))
         emb, _ = model.copy().forward(x, mode="eval")
-        from fewshot_tta.prototypes import PrototypeBank, proto_classify
         want = np.argmax(proto_classify(PrototypeBank(frozen_protos), emb.data), axis=1)
         assert adapt_batch(state, x).tolist() == want.tolist()
+
+
+@pytest.fixture
+def graph_rows(monkeypatch):
+    """Row counts of every graph-mode Backbone.forward (no-grad ones are not counted)."""
+    rows = []
+    forward = Backbone.forward
+
+    def counting(model, x, *args, **kwargs):
+        if tensor._grad_enabled:
+            rows.append(len(x))
+        return forward(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(Backbone, "forward", counting)
+    return rows
+
+
+# 24 of 40 rows selected stays under WHOLE_GRAPH_SHARE (graph-free inference,
+# then a graph over the kept rows); 30 of 40 goes over it (one graph forward)
+KEPT_ALPHA, WHOLE_ALPHA = 0.6, 0.75
+
+
+class TestAdaptBatchKeptRows:
+    """adapt_batch differentiates the kept rows alone, on either forward path."""
+
+    def _mixed(self, rng, alpha, predict_with="head"):
+        model = _model(rng)
+        # 40 rows of 8 x 8 span two inference chunks
+        x = rng.normal(size=(40, 3, 8, 8))
+        # centre the head on the batch's mean embedding so its argmax varies
+        # across rows, and seed the bank from the head's own labels: the head
+        # and the cosine prototypes then agree on most rows but not all
+        emb, _ = model.infer(x)
+        model.params["head.bias"].data = -(emb.mean(axis=0) @ model.params["head.weight"].data)
+        emb, logits = model.infer(x)
+        bank = init_bank(emb, np.argmax(logits, axis=1), 4)
+        return model, bank, AdaptConfig(alpha=alpha, lr=1e-2, predict_with=predict_with), x
+
+    @pytest.mark.parametrize("alpha", [KEPT_ALPHA, WHOLE_ALPHA])
+    def test_gradients_match_whole_batch_oracle(self, rng, alpha):
+        model, bank, cfg, x = self._mixed(rng, alpha)
+        oracle_model, oracle_bank = model.copy(), bank.copy()
+        state = init_adapt_state(model, bank, cfg)
+        preds = adapt_batch(state, x)
+        want_preds, sel, masks, want_loss = oracles.adapt_batch_full_graph(
+            oracle_model, oracle_bank, cfg, x)
+        assert 0 < masks.sum() < masks.size
+        assert preds.tolist() == want_preds.tolist()
+        assert state.bank.prototypes.tobytes() == oracle_bank.prototypes.tobytes()
+        assert state.rows[0]["loss"] == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        for name, p in model.params.items():
+            want = oracle_model.params[name].grad
+            scale = np.max(np.abs(want))
+            assert scale > 0.0, name
+            assert np.max(np.abs(p.grad - want)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("alpha", [KEPT_ALPHA, WHOLE_ALPHA])
+    def test_head_predictions_are_infer_argmax_bitwise(self, rng, alpha):
+        model, bank, cfg, x = self._mixed(rng, alpha)
+        want = np.argmax(model.copy().infer(x)[1], axis=1)
+        got = adapt_batch(init_adapt_state(model, bank, cfg), x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [KEPT_ALPHA, WHOLE_ALPHA])
+    def test_proto_predictions_are_prototype_argmax_bitwise(self, rng, alpha):
+        model, bank, cfg, x = self._mixed(rng, alpha, predict_with="proto")
+        emb, _ = model.copy().infer(x)
+        want = np.argmax(proto_classify(PrototypeBank(bank.prototypes.copy()), emb), axis=1)
+        got = adapt_batch(init_adapt_state(model, bank, cfg), x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_kept_path_graph_sees_exactly_the_kept_rows(self, rng, graph_rows):
+        model, bank, cfg, x = self._mixed(rng, KEPT_ALPHA)
+        state = init_adapt_state(model, bank, cfg)
+        adapt_batch(state, x)
+        assert 0 < state.mask_total < state.selected_total
+        assert graph_rows == [state.mask_total]
+
+    def test_whole_path_runs_one_graph_forward(self, rng, graph_rows, monkeypatch):
+        model, bank, cfg, x = self._mixed(rng, WHOLE_ALPHA)
+        monkeypatch.setattr(Backbone, "infer", None)
+        state = init_adapt_state(model, bank, cfg)
+        adapt_batch(state, x)
+        assert 0 < state.mask_total < state.selected_total
+        assert graph_rows == [40]
+
+    def test_path_boundary_is_the_selected_share(self, rng, graph_rows):
+        # 26 of 39 rows is exactly WHOLE_GRAPH_SHARE: still the kept-rows path
+        model, bank, cfg, x = self._mixed(rng, 2 / 3)
+        state = init_adapt_state(model, bank, cfg)
+        adapt_batch(state, x[:39])
+        assert selected_count(2 / 3, 39) / 39 == WHOLE_GRAPH_SHARE
+        assert 0 < state.mask_total and graph_rows == [state.mask_total]
+
+    def test_alpha_zero_builds_no_graph(self, rng, graph_rows):
+        model = _model(rng)
+        state = init_adapt_state(model, _bank(rng, model), AdaptConfig(alpha=0.0))
+        adapt_batch(state, rng.normal(size=(6, 3, 8, 8)))
+        assert graph_rows == []
+        assert all(p.grad is None for p in model.params.values())
+
+    @pytest.mark.parametrize("alpha, want_rows", [(0.5, []), (1.0, [6])])
+    def test_all_zero_masks_take_no_step(self, rng, graph_rows, alpha, want_rows):
+        # a head locked onto class 0 against a bank locked onto class 1; the
+        # kept-rows path builds no graph, the whole-batch one no backward
+        model = _model(rng, num_classes=2)
+        model.params["head.bias"].data[:] = [50.0, 0.0]
+        protos = np.stack([-np.ones(model.embed_dim), np.ones(model.embed_dim)])
+        state = init_adapt_state(model, PrototypeBank(protos), AdaptConfig(alpha=alpha))
+        before = model.params_hash()
+        adapt_batch(state, np.abs(rng.normal(size=(6, 3, 8, 8))) + 0.1)
+        assert state.selected_total == int(6 * alpha) and state.mask_total == 0
+        assert graph_rows == want_rows
+        assert all(p.grad is None for p in model.params.values())
+        assert np.isnan(state.rows[0]["loss"])
+        assert model.params_hash() == before
 
 
 class TestTentBatch:
@@ -275,6 +393,47 @@ class TestTentBatch:
                 assert not same, name
             else:
                 assert same, name
+
+    def test_matches_all_params_requiring_grad(self, rng):
+        # the formulation in which every parameter keeps requires_grad and
+        # Adam alone restricts the update to the normalization affines
+        recs = _records(rng, 40)
+        stream = make_stream(recs, batch_size=8, seed=3)
+        model = _model(np.random.default_rng(5))
+        reference = model.copy()
+        run_baseline("entropy_min", model, stream, AdaptConfig(lr=1e-2))
+        opt = Adam({n: p for n, p in reference.params.items() if n.startswith("norm")}, lr=1e-2)
+        for batch in stream:
+            _, logits = reference.forward(batch.inputs, mode="eval")
+            loss = entropy_min_loss(logits)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        assert len(stream) == 5
+        assert model.params_hash() == reference.params_hash()
+
+    def test_frozen_groups_get_no_gradient(self, rng):
+        model = _model(rng)
+        state = init_adapt_state(model, None, AdaptConfig(groups=("norm_affine",), lr=1e-2))
+        tent_batch(state, rng.normal(size=(6, 3, 8, 8)))
+        for name, p in model.params.items():
+            trained = name.startswith("norm")
+            assert p.requires_grad == trained, name
+            assert (p.grad is not None) == trained, name
+
+    def test_copy_after_tent_finetunes_every_group(self, rng):
+        model = _model(rng)
+        run_baseline("entropy_min", model, make_stream(_records(rng, 8), batch_size=8, seed=0),
+                     AdaptConfig(lr=1e-2))
+        dup = model.copy()
+        support = SupportSet(samples=[SampleRecord(label=c, pixels=rng.normal(size=(3, 8, 8)),
+                                                   domain_id=0) for c in (0, 1, 2, 3) * 2],
+                             k=2, class_count=4)
+        tuned, _ = finetune(dup, support, FinetuneConfig(epochs=1, lr=1e-2,
+                                                         fda=FdaConfig(enabled=False)))
+        for name, p in tuned.params.items():
+            assert p.requires_grad, name
+            assert not np.array_equal(p.data, dup.params[name].data), name
 
 
 class TestMakeStream:

@@ -9,9 +9,7 @@ and content hashes. Exit codes: 1 configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -20,30 +18,11 @@ from pathlib import Path
 from . import harness
 from .config import (RunConfig, config_hash, file_sha256, load_config, seed_plan,
                      serialize)
-from .data import SupportSet, read_dataset, write_dataset, write_manifest
+from .data import SupportSet, manifest, read_dataset, write_csv, write_dataset, write_json
 from .errors import ConfigError, DataError, NumericError
-from .finetune import finetune, write_loss_trace
+from .finetune import finetune
 from .model import load_model, save_model, train_source
 from .stream import resolve_method
-
-
-def _write_json(path, doc):
-    """Write doc to path atomically: a temp file beside it, then os.replace.
-
-    A document that fails to serialize leaves any previous file untouched
-    and no temp file behind. A stale temp file of a killed earlier run with
-    the same pid is overwritten.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _config_from(args) -> RunConfig:
@@ -78,7 +57,6 @@ def _sidecar(cfg: RunConfig, extra: dict) -> dict:
 def cmd_gen_data(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bench = harness.prepare_benchmark(cfg)
     trial = harness.make_trial(cfg, bench)
 
@@ -94,8 +72,8 @@ def cmd_gen_data(args) -> int:
     write_dataset(files["stream"], trial.remainder, bench.class_count)
 
     data_cfg = replace(cfg.data, master_seed=cfg.master_seed)
-    write_manifest(out / "manifest.json", data_cfg, files)
-    _write_json(out / "gen-data.sidecar.json", _sidecar(cfg, {
+    write_json(out / "manifest.json", manifest(data_cfg, files))
+    write_json(out / "gen-data.sidecar.json", _sidecar(cfg, {
         "seeds": trial.seeds, "k": cfg.k,
         "hashes": {name: file_sha256(path) for name, path in files.items()},
     }))
@@ -122,7 +100,7 @@ def cmd_train_source(args) -> int:
                                 widths=cfg.widths, num_classes=classes.pop())
     seconds = time.perf_counter() - t0
     save_model(args.out, model)
-    _write_json(str(args.out) + ".sidecar.json", _sidecar(cfg, {
+    write_json(str(args.out) + ".sidecar.json", _sidecar(cfg, {
         "data_hash": "+".join(file_sha256(p) for p in paths),
         "final_loss": curve[-1][1] if curve else None,
         "params_hash": model.params_hash().hex(),
@@ -147,8 +125,8 @@ def cmd_finetune(args) -> int:
     seconds = time.perf_counter() - t0
     save_model(args.out, tuned)
     trace_path = args.trace or str(args.out) + ".trace.csv"
-    write_loss_trace(trace_path, trace)
-    _write_json(str(args.out) + ".sidecar.json", _sidecar(cfg, {
+    write_csv(trace_path, ["epoch", "loss", "support_acc"], trace)
+    write_json(str(args.out) + ".sidecar.json", _sidecar(cfg, {
         "data_hash": file_sha256(args.support),
         "support_size": len(support.samples), "k": k,
         "params_hash": tuned.params_hash().hex(),
@@ -178,7 +156,7 @@ def cmd_adapt(args) -> int:
         bank = harness.support_bank(model, sup.records, sup.num_classes, cfg.ema_beta)
     fields = harness.adapt_stream(cfg, cfg.method, model, ds.records,
                                   seed_plan(cfg)["stream"], bank)
-    _write_json(args.out, _sidecar(cfg, {
+    write_json(args.out, _sidecar(cfg, {
         "schema": harness.METRICS_SCHEMA,
         "comparison_hash": harness.comparison_hash(cfg),
         "data_hash": file_sha256(args.stream),
@@ -186,13 +164,10 @@ def cmd_adapt(args) -> int:
         **fields,
     }))
     if args.batch_csv:
-        with open(args.batch_csv, "w", newline="") as fh:
-            names = ["batch", "batch_correct", "batch_size", "cumulative_accuracy",
-                     "selected", "mask_rate", "loss"]
-            writer = csv.DictWriter(fh, fieldnames=names)
-            writer.writeheader()
-            for i, row in enumerate(fields["rows"]):
-                writer.writerow({"batch": i, **{k: row[k] for k in names[1:]}})
+        names = ["batch", "batch_correct", "batch_size", "cumulative_accuracy",
+                 "selected", "mask_rate", "loss"]
+        write_csv(args.batch_csv, names, ({"batch": i, **{k: row[k] for k in names[1:]}}
+                                          for i, row in enumerate(fields["rows"])))
     print(f"{fields['method']}: online accuracy {fields['final_accuracy']:.4f} "
           f"over {fields['total']} samples ({fields['seconds']:.1f}s)")
     return 0
@@ -206,7 +181,7 @@ def cmd_sweep(args) -> int:
         values = [cast(v) for v in args.values.split(",")]
     trial_seeds = tuple(range(args.trials))
     doc = harness.sweep(cfg, args.axis, values=values, trial_seeds=trial_seeds)
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(harness.format_sweep(doc))
     return 0
 
@@ -222,11 +197,8 @@ def cmd_report(args) -> int:
     report = harness.build_report(docs, paths=args.metrics, force=args.force)
     print(harness.format_report(report))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            rows = harness.report_csv_rows(report)
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        rows = harness.report_csv_rows(report)
+        write_csv(args.csv, list(rows[0]), rows)
     return 0
 
 
@@ -235,7 +207,7 @@ def cmd_run_all(args) -> int:
     methods = args.methods.split(",") if args.methods else None
     report = harness.run_all(cfg, methods=methods)
     out = Path(args.out)
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     print(f"source accuracy:  {report['source_accuracy']:.4f}")
     if report["stage1_accuracy"] is not None:
         print(f"stage 1 accuracy: {report['stage1_accuracy']:.4f}")

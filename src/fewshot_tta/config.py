@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .data import BenchmarkConfig
 from .errors import ConfigError
-from .fda import FdaConfig
 from .finetune import FinetuneConfig
 from .model import SourceConfig
 from .seeding import sub_seed
@@ -70,46 +69,39 @@ def serialize(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
 
 
-def _pick(d: dict, cls, **coerced):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
+def _tuples(value):
+    return tuple(_tuples(v) if isinstance(v, list) else v for v in value)
+
+
+def _build(cls, doc, where: str):
+    """cls(**doc), rebuilding every field whose default is a dataclass from
+    its sub-object and turning lists into tuples wherever the default is a
+    tuple. Any mistyped value ends in a ConfigError.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in d.items()}
-    kwargs.update({k: v for k, v in coerced.items() if k in d})
-    return cls(**kwargs)
+    kwargs = {}
+    for name, value in doc.items():
+        f = fields[name]
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), value, f"config section {name!r}")
+        elif isinstance(default, tuple) and isinstance(value, list):
+            value = _tuples(value)
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
 def from_dict(doc: dict) -> RunConfig:
     """Rebuild a RunConfig from parsed JSON, restoring tuple-typed fields."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    doc = dict(doc)
-    sub = {}
-    if "data" in doc:
-        d = doc.pop("data")
-        sub["data"] = _pick(d, BenchmarkConfig,
-                            source_gains=tuple(tuple(g) for g in d.get("source_gains", ())),
-                            source_biases=tuple(tuple(b) for b in d.get("source_biases", ())),
-                            target_gain=tuple(d.get("target_gain", ())),
-                            target_bias=tuple(d.get("target_bias", ())))
-    if "source" in doc:
-        sub["source"] = _pick(doc.pop("source"), SourceConfig)
-    if "finetune" in doc:
-        d = dict(doc.pop("finetune"))
-        if "fda" in d:
-            d["fda"] = _pick(d["fda"], FdaConfig, sites=tuple(d["fda"].get("sites", ())))
-        if "groups" in d:
-            d["groups"] = tuple(d["groups"])
-        sub["finetune"] = _pick(d, FinetuneConfig)
-    if "adapt" in doc:
-        d = dict(doc.pop("adapt"))
-        if "groups" in d:
-            d["groups"] = tuple(d["groups"])
-        sub["adapt"] = _pick(d, AdaptConfig)
-    if "widths" in doc:
-        doc["widths"] = tuple(doc["widths"])
-    return _pick({**doc, **sub}, RunConfig)
+    return _build(RunConfig, doc, "config root")
 
 
 def parse(text: str) -> RunConfig:

@@ -1,4 +1,5 @@
-"""Synthetic multi-domain image data and the TTAD on-disk format.
+"""Synthetic multi-domain image data, the TTAD on-disk format, and the one
+atomic writer every artifact goes through.
 
 Each class owns a fixed spatial template (a Gaussian blob plus a sinusoidal
 pattern per channel, shared by every domain). A domain restyles templates with
@@ -8,9 +9,13 @@ the domain identity while spatial structure carries the class.
 
 from __future__ import annotations
 
+import csv
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -163,6 +168,43 @@ def split_support(target_data: list[SampleRecord], k: int, seed: int) -> tuple[S
     return SupportSet(support, k, class_count), remainder
 
 
+# -- artifact files ------------------------------------------------------
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file beside ``path`` for writing; it replaces ``path`` on success.
+
+    The parent directory is created. An error while writing leaves any
+    previous file at ``path`` untouched and no temp file behind. A stale temp
+    file of a killed earlier run with the same pid is overwritten.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, doc) -> None:
+    """Write doc atomically as indented JSON with sorted keys."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, fieldnames, rows) -> None:
+    """Write dict rows atomically as CSV with a header line."""
+    with atomic_open(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 # -- TTAD binary format --------------------------------------------------
 
 _HEADER = struct.Struct("<4sIIIIIII")  # magic, version, n, C, H, W, num_classes, domain_id
@@ -175,7 +217,7 @@ def _record_dtype(c: int, h: int, w: int) -> np.dtype:
 
 def write_dataset(path, records: list[SampleRecord], num_classes: int,
                   domain_id: int | None = None) -> None:
-    """Write records as one little-endian TTAD file (u16 labels, f32 pixels)."""
+    """Write records atomically as one little-endian TTAD file (u16 labels, f32 pixels)."""
     if records:
         shapes = {rec.pixels.shape for rec in records}
         if len(shapes) > 1:
@@ -199,7 +241,7 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int,
     table["label"] = [rec.label for rec in records]
     if records:
         table["pixels"] = np.stack([rec.pixels for rec in records])
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(records), c, h, w,
                              num_classes, domain_id))
         f.write(table.tobytes())
@@ -253,6 +295,13 @@ class BenchmarkConfig:
     target_noise_std: float = 0.02
     master_seed: int = 0
 
+    def __post_init__(self):
+        # images take their channel count from the gains, so they must agree
+        styles = (*self.source_gains, *self.source_biases, self.target_gain, self.target_bias)
+        if any(len(s) != self.channels for s in styles):
+            raise ConfigError(f"every gain and bias needs {self.channels} channel values, "
+                              f"got lengths {[len(s) for s in styles]}")
+
 
 def benchmark_domains(cfg: BenchmarkConfig) -> tuple[list[DomainSpec], DomainSpec]:
     """Instantiate the source DomainSpecs and the shifted target DomainSpec."""
@@ -280,10 +329,10 @@ def generate_benchmark(cfg: BenchmarkConfig) -> tuple[list[list[SampleRecord]], 
     return source_data, target_data
 
 
-def write_manifest(path, cfg: BenchmarkConfig, files: dict[str, str]) -> None:
-    """JSON sidecar for gen-data: domains, counts, seeds, output files."""
+def manifest(cfg: BenchmarkConfig, files: dict[str, str]) -> dict:
+    """gen-data's manifest document: domains, counts, seeds, output files."""
     sources, target = benchmark_domains(cfg)
-    doc = {
+    return {
         "class_count": cfg.class_count,
         "per_class_count": cfg.per_class_count,
         "image_size": cfg.image_size,
@@ -299,9 +348,6 @@ def write_manifest(path, cfg: BenchmarkConfig, files: dict[str, str]) -> None:
         ],
         "files": files,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
 
 
 def records_as_arrays(records: list[SampleRecord]) -> tuple[np.ndarray, np.ndarray]:

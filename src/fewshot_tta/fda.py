@@ -1,7 +1,8 @@
 """Feature-statistics mixing: restyle a feature map with a convex blend of
 two samples' per-channel statistics, re-instantiated through normalization.
 
-Used only while fine-tuning on the support set; evaluation and the online
+Used only while fine-tuning on the support set, where ``mixer`` plugs the
+plans into ``Backbone.forward`` between blocks; evaluation and the online
 stage never call it.
 """
 
@@ -28,6 +29,8 @@ class FdaConfig:
 
     def __post_init__(self):
         self.sites = tuple(self.sites)
+        if not set(self.sites) <= {1, 2}:
+            raise ConfigError(f"sites must be drawn from the Backbone's (1, 2), got {self.sites}")
         if self.alpha_beta <= 0:
             raise ConfigError(f"alpha_beta must be > 0, got {self.alpha_beta}")
         if not 0.0 <= self.p_apply <= 1.0:
@@ -136,3 +139,17 @@ def fda_transform(features, plan: FdaPlan, eps: float = 1e-6,
     lam = Tensor(plan.lambdas[:, None])
     beta_mix, gamma_mix = mix_stats(mu, sigma, mu_j, sig_j, lam)
     return apply_fda(features, (mu, sigma), (beta_mix, gamma_mix))
+
+
+def mixer(plans: dict[int, FdaPlan], cfg: FdaConfig):
+    """The ``mix(site, h)`` hook of ``Backbone.forward`` for one batch's plans.
+
+    A site without a plan passes its features through. ``fda_transform`` is
+    looked up per call, so a wrapper installed on it later still sees it.
+    """
+    def mix(site: int, h: Tensor) -> Tensor:
+        plan = plans.get(site)
+        if plan is None:
+            return h
+        return fda_transform(h, plan, eps=cfg.eps, detach_mixed=cfg.detach_mixed)
+    return mix

@@ -8,19 +8,18 @@ The whole support set rides in one batch whenever it fits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, SupportSet, records_as_arrays
 from .errors import ConfigError, DataError, NumericError
-from .fda import FdaConfig, make_plans
+from .fda import FdaConfig, make_plans, mixer
 from .model import Backbone, predict
 from .optim import Adam
 from .tensor import softmax_cross_entropy
 
-__all__ = ["SupportSet", "FinetuneConfig", "finetune", "eval_accuracy", "write_loss_trace"]
+__all__ = ["SupportSet", "FinetuneConfig", "finetune", "eval_accuracy"]
 
 
 @dataclass
@@ -71,9 +70,8 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig):
         losses = []
         for idx in starts:
             xb, yb = x[idx], y[idx]
-            plans = make_plans(len(idx), rng, cfg.fda)
-            _, logits = tuned.forward(xb, mode="train", fda_plans=plans,
-                                      fda_eps=cfg.fda.eps, fda_detach=cfg.fda.detach_mixed)
+            mix = mixer(make_plans(len(idx), rng, cfg.fda), cfg.fda)
+            _, logits = tuned.forward(xb, mode="train", mix=mix)
             loss = softmax_cross_entropy(logits, yb)
             val = loss.item()
             if not np.isfinite(val):
@@ -97,12 +95,3 @@ def eval_accuracy(model: Backbone, dataset) -> float:
         raise DataError("cannot evaluate on an empty dataset")
     x, y = records_as_arrays(records)
     return float(np.mean(predict(model, x) == y))
-
-
-def write_loss_trace(path, trace) -> None:
-    """Dump finetune trace rows as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "support_acc"])
-        writer.writeheader()
-        for row in trace:
-            writer.writerow(row)

@@ -1,5 +1,5 @@
 """The toy convolutional classifier: three conv blocks with instance norm,
-mixing hook sites between blocks, a pooled embedding, and a linear head.
+an optional mixing hook between blocks, a pooled embedding, and a linear head.
 
 Parameters live in a named dict with a fixed declaration order (also the
 on-disk blob order) and are partitioned into the groups {conv, norm_affine,
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open, records_as_arrays
 from .errors import (
     BadMagicError,
     ConfigError,
@@ -22,7 +23,6 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .fda import FdaPlan, fda_transform
 from .optim import Adam
 from .seeding import rng_for, sub_seed
 from .tensor import (
@@ -49,8 +49,8 @@ class Backbone:
     """3-block CNN with instance normalization and a linear classifier.
 
     Block widths default to 3 -> 16 -> 32 -> 32; the embedding is the global
-    average pool of the last block (D = widths[-1]). Hook sites 1 and 2 sit
-    after blocks 1 and 2 and are where feature mixing may run in train mode.
+    average pool of the last block (D = widths[-1]). In train mode a
+    ``mix(site, h)`` hook may restyle the features after blocks 1 and 2.
     """
 
     def __init__(self, widths=(3, 16, 32, 32), num_classes: int = 6, init_seed: int = 0):
@@ -62,7 +62,6 @@ class Backbone:
         self.widths = widths
         self.num_classes = int(num_classes)
         self.embed_dim = widths[-1]
-        self.hook_sites = (1, 2)
         rng = np.random.default_rng(init_seed)
         self.params: dict[str, Tensor] = {}
         for i in range(3):
@@ -112,7 +111,6 @@ class Backbone:
         dup.widths = self.widths
         dup.num_classes = self.num_classes
         dup.embed_dim = self.embed_dim
-        dup.hook_sites = self.hook_sites
         dup.params = {name: Tensor(p.data.copy(), requires_grad=True)
                       for name, p in self.params.items()}
         return dup
@@ -127,14 +125,14 @@ class Backbone:
 
     # -- forward ---------------------------------------------------------
 
-    def forward(self, x, mode: str = "eval", fda_plans: dict[int, FdaPlan] | None = None,
-                fda_eps: float = 1e-6, fda_detach: bool = False,
+    def forward(self, x, mode: str = "eval", mix=None,
                 batch_stats: bool = False) -> tuple[Tensor, Tensor]:
         """Run the network; returns (embedding N x D, logits N x C).
 
-        Feature mixing plans run at their hook sites only in train mode.
-        batch_stats switches normalization to statistics pooled over the
-        whole batch (used by the statistics-refresh baseline).
+        In train mode ``mix(site, h)`` (see ``fda.mixer``) replaces the
+        features h after block ``site`` for sites 1 and 2. batch_stats
+        switches normalization to statistics pooled over the whole batch
+        (used by the statistics-refresh baseline).
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be train or eval, got {mode!r}")
@@ -152,10 +150,8 @@ class Backbone:
             else:
                 h = instance_norm(h, gamma, beta, eps=1e-5)
             h = relu(h)
-            site = i + 1
-            if (mode == "train" and fda_plans and site in fda_plans
-                    and site in self.hook_sites):
-                h = fda_transform(h, fda_plans[site], eps=fda_eps, detach_mixed=fda_detach)
+            if mode == "train" and mix is not None and i < 2:
+                h = mix(i + 1, h)
         embedding = tmean(h, axis=(2, 3))
         logits = matmul(embedding, self.params["head.weight"]) + self.params["head.bias"]
         return embedding, logits
@@ -204,8 +200,7 @@ def train_source(source_data, cfg: SourceConfig,
     records = [rec for domain in source_data for rec in domain]
     if not records:
         raise DataError("no source records")
-    x_all = np.stack([rec.pixels for rec in records])
-    y_all = np.array([rec.label for rec in records], dtype=np.int64)
+    x_all, y_all = records_as_arrays(records)
     if y_all.max() >= num_classes:
         raise DataError(f"label {y_all.max()} out of range for {num_classes} classes")
 
@@ -242,8 +237,8 @@ _MODEL_HEADER = struct.Struct("<4sI")
 
 
 def save_model(path, model: Backbone) -> None:
-    """Write the architecture descriptor and f64 parameter blobs."""
-    with open(path, "wb") as f:
+    """Write the architecture descriptor and f64 parameter blobs, atomically."""
+    with atomic_open(path, "wb") as f:
         f.write(_MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION))
         f.write(struct.pack("<I", len(model.widths)))
         for w in model.widths:

@@ -7,7 +7,6 @@ computation; the bank guides the online loop rather than being trained.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,25 +42,6 @@ class PrototypeBank:
     def copy(self) -> "PrototypeBank":
         return PrototypeBank(self.prototypes.copy(), self.ema_beta,
                              self.update_counts.copy(), self.t)
-
-    def to_snapshot(self) -> dict:
-        """JSON-ready view of the bank for debugging and reports."""
-        return {
-            "prototypes": self.prototypes.tolist(),
-            "ema_beta": self.ema_beta,
-            "update_counts": self.update_counts.tolist(),
-            "t": self.t,
-        }
-
-    @classmethod
-    def from_snapshot(cls, doc: dict) -> "PrototypeBank":
-        return cls(np.array(doc["prototypes"], dtype=np.float64), doc["ema_beta"],
-                   np.array(doc["update_counts"], dtype=np.int64), doc["t"])
-
-    def save_snapshot(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_snapshot(), f)
-            f.write("\n")
 
 
 def init_bank(embeddings, labels, class_count: int, ema_beta: float = 0.9) -> PrototypeBank:

@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from .data import records_as_arrays
 from .errors import ConfigError, DataError
 from .model import Backbone
 from .optim import Adam
@@ -294,8 +295,7 @@ def make_stream(records, batch_size: int, seed: int, order: str = "shuffled") ->
         raise ConfigError(f"order must be shuffled or sorted, got {order!r}")
     if not records:
         raise DataError("empty stream")
-    x = np.stack([rec.pixels for rec in records])
-    y = np.array([rec.label for rec in records], dtype=np.int64)
+    x, y = records_as_arrays(records)
     if order == "shuffled":
         perm = np.random.default_rng(seed).permutation(len(records))
     else:

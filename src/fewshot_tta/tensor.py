@@ -545,7 +545,10 @@ def softmax_entropy(logits) -> Tensor:
     """Per-row Shannon entropy of softmax(logits), differentiable.
 
     Computed as logsumexp(z) - sum(p * z), which stays finite for any finite
-    logits. Returns a length-N vector for N x C input.
+    logits. Returns a length-N vector for N x C input. It keeps this forward
+    rather than taking ``stream.entropy`` of the softmax: the two round
+    differently, and the entropy-minimization baselines' results rest on
+    these bits.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
@@ -609,7 +612,8 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], ep
     (0, 2, 3) for batch statistics; ``gamma`` and ``beta`` have shape (C,).
     One graph node. With xhat the normalized input and means taken over
     ``axes``, the input gradient is the closed form
-    gamma / sqrt(var + eps) * (g - mean(g) - xhat * mean(g * xhat)).
+    gamma / sqrt(var + eps) * (g - mean(g) - xhat * mean(g * xhat)),
+    computed only when ``x`` needs a gradient.
     """
     c = x.shape[1]
     g4, b4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
@@ -623,12 +627,14 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], ep
 
     def backward(g):
         g_xhat = g * xhat
-        ggamma = g_xhat.sum(axis=(0, 2, 3))
+        ggamma, gbeta = g_xhat.sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+        if not x.requires_grad:
+            return None, ggamma, gbeta
         gx = np.multiply(xhat, g_xhat.mean(axis=axes, keepdims=True), out=g_xhat)
         np.subtract(g, gx, out=gx)
         gx -= g.mean(axis=axes, keepdims=True)
         gx *= g4 / std
-        return gx, ggamma, g.sum(axis=(0, 2, 3))
+        return gx, ggamma, gbeta
 
     return _result(out, (x, gamma, beta), backward)
 

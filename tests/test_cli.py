@@ -1,5 +1,6 @@
 """Command-line workflows: artifacts, sidecars, exit codes, determinism."""
 
+import contextlib
 import json
 import os
 import shlex
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from fewshot_tta import harness
-from fewshot_tta.cli import _write_json, build_parser, main
+from fewshot_tta import data
+from fewshot_tta.cli import build_parser, main
 from fewshot_tta.config import config_hash, file_sha256, load_config, seed_plan, serialize
-from fewshot_tta.data import read_dataset, write_dataset
+from fewshot_tta.data import read_dataset, write_dataset, write_json
 from fewshot_tta.model import load_model
 from fewshot_tta.stream import resolve_method
 from test_harness import tiny_cfg
@@ -278,23 +280,63 @@ class TestExitCodes:
         rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")])
         assert rc == 1
 
+    @pytest.mark.parametrize("doc", [{"widths": 5}, {"adapt": 5}, {"k": "five"}])
+    def test_mistyped_config_is_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
-def test_write_json_is_atomic(tmp_path):
+
+class _DiskFull:
+    """A file whose write stores half the bytes, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, blob):
+        self.fh.write(blob[: len(blob) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_write_json_is_atomic(tmp_path, monkeypatch, rng):
     path = tmp_path / "metrics.json"
-    _write_json(path, {"accuracy": 0.5})
+    write_json(path, {"accuracy": 0.5})
     before = path.read_bytes()
     with pytest.raises(TypeError):
-        _write_json(path, {"accuracy": 0.75, "classes": {1, 2}})
+        write_json(path, {"accuracy": 0.75, "classes": {1, 2}})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
-    _write_json(path, {"accuracy": 0.75})
+    write_json(path, {"accuracy": 0.75})
     assert json.loads(path.read_text()) == {"accuracy": 0.75}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
     stale = tmp_path / f".metrics.json.{os.getpid()}.tmp"
     stale.write_text("left by a killed run")
-    _write_json(path, {"accuracy": 1.0})
+    write_json(path, {"accuracy": 1.0})
     assert json.loads(path.read_text()) == {"accuracy": 1.0}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
+
+    # a .ttad overwrite that fails mid-write leaves the old file loadable
+    ttad = tmp_path / "stream.ttad"
+    records = [data.SampleRecord(label=i % 3, pixels=rng.normal(size=(3, 4, 4)), domain_id=1)
+               for i in range(6)]
+    write_dataset(ttad, records, num_classes=3)
+    before = ttad.read_bytes()
+    real_open = data.atomic_open
+
+    @contextlib.contextmanager
+    def disk_full(target, mode="w"):
+        with real_open(target, mode) as fh:
+            yield _DiskFull(fh)
+
+    monkeypatch.setattr(data, "atomic_open", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        write_dataset(ttad, records[:3], num_classes=3)
+    assert ttad.read_bytes() == before
+    assert [r.label for r in read_dataset(ttad).records] == [r.label for r in records]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "stream.ttad"]
 
 
 def test_readme_cli_block_parses():

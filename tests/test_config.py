@@ -77,6 +77,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="stream_order"):
             RunConfig(stream_order="interleaved")
 
+    @pytest.mark.parametrize("text,match", [
+        ('{"widths": 5}', "RunConfig"),
+        ('{"adapt": 5}', "'adapt' must be an object"),
+        ('{"k": "five"}', "RunConfig"),
+        ('[1, 2]', "root must be an object"),
+        ('{"data": {"target_gain": 0.5}}', "BenchmarkConfig"),
+        ('{"finetune": {"fda": {"sites": [3]}}}', "sites"),
+    ])
+    def test_mistyped_value_is_config_error(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse(text)
+
     def test_partial_config_fills_defaults(self):
         cfg = parse('{"k": 3}')
         assert cfg.k == 3

@@ -84,6 +84,15 @@ class TestGeneration:
             DomainSpec(domain_id=0, gain=np.ones(3), bias=np.zeros(3),
                        noise_std=-0.1, seed=0)
 
+    @pytest.mark.parametrize("over", [
+        {"channels": 1},
+        {"target_gain": (0.1, 1.0)},
+        {"source_biases": ((0.0, 0.0, 0.0), (0.2, -0.1), (-0.2, 0.1, 0.15))},
+    ])
+    def test_style_tuples_must_match_channels(self, over):
+        with pytest.raises(ConfigError, match="channel"):
+            BenchmarkConfig(**over)
+
     def test_benchmark_shapes_and_counts(self):
         cfg = BenchmarkConfig(per_class_count=5)
         source_data, target_data = generate_benchmark(cfg)

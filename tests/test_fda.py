@@ -13,6 +13,7 @@ from fewshot_tta.fda import (
     make_plan,
     make_plans,
     mix_stats,
+    mixer,
 )
 
 import oracles
@@ -186,6 +187,20 @@ class TestMakePlan:
 
     def test_disabled_config_gives_no_plans(self):
         assert make_plans(8, np.random.default_rng(0), FdaConfig(enabled=False)) == {}
+
+    @pytest.mark.parametrize("sites", [(3,), (0, 1), (1, 2, 3)])
+    def test_sites_outside_the_backbone_rejected(self, sites):
+        with pytest.raises(ConfigError, match="sites"):
+            FdaConfig(sites=sites)
+
+    def test_mixer_applies_each_site_plan_and_passes_others_through(self, rng):
+        cfg = FdaConfig(p_apply=1.0, sites=(2,), eps=1e-4)
+        plans = make_plans(4, np.random.default_rng(3), cfg)
+        mix = mixer(plans, cfg)
+        h = Tensor(rng.normal(size=(4, 3, 5, 5)))
+        assert mix(1, h) is h
+        want = fda_transform(h, plans[2], eps=1e-4)
+        assert np.array_equal(mix(2, h).data, want.data)
 
     def test_bad_plan_rejected(self):
         with pytest.raises(ConfigError):

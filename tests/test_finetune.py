@@ -5,10 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from fewshot_tta.data import Dataset, SampleRecord, SupportSet
+from fewshot_tta.data import Dataset, SampleRecord, SupportSet, write_csv
 from fewshot_tta.errors import ConfigError, DataError, NumericError
 from fewshot_tta.fda import FdaConfig
-from fewshot_tta.finetune import FinetuneConfig, eval_accuracy, finetune, write_loss_trace
+from fewshot_tta.finetune import FinetuneConfig, eval_accuracy, finetune
 from fewshot_tta.model import Backbone
 from fewshot_tta.optim import Adam
 from fewshot_tta.tensor import cross_entropy, reshape, softmax, softmax_cross_entropy
@@ -208,9 +208,10 @@ class TestLossTraceCsv:
         model = _model(rng)
         _, trace = finetune(model, _support(rng), FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA))
         path = tmp_path / "trace.csv"
-        write_loss_trace(path, trace)
-        with open(path) as fh:
+        write_csv(path, ["epoch", "loss", "support_acc"], trace)
+        with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert path.read_text().splitlines()[0] == "epoch,loss,support_acc"
         assert len(rows) == 2
         assert rows[0]["epoch"] == "1"
         assert float(rows[1]["loss"]) == pytest.approx(trace[1]["loss"])

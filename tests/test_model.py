@@ -13,7 +13,7 @@ from fewshot_tta.errors import (
     NumericError,
     TruncatedFileError,
 )
-from fewshot_tta.fda import FdaConfig, make_plans
+from fewshot_tta.fda import FdaConfig, make_plans, mixer
 from fewshot_tta.model import (
     Backbone,
     SourceConfig,
@@ -65,20 +65,38 @@ class TestForward:
 
     def test_fda_plan_ignored_in_eval(self, small_model, rng):
         x = rng.normal(size=(4, 3, 8, 8))
-        plans = make_plans(4, np.random.default_rng(0), FdaConfig(p_apply=1.0))
+        cfg = FdaConfig(p_apply=1.0)
+        plans = make_plans(4, np.random.default_rng(0), cfg)
         _, base = small_model.forward(x, mode="eval")
-        _, with_plan = small_model.forward(x, mode="eval", fda_plans=plans)
+        _, with_plan = small_model.forward(x, mode="eval", mix=mixer(plans, cfg))
         assert np.array_equal(base.data, with_plan.data)
 
     def test_fda_plan_changes_train_forward(self, small_model, rng):
         x = rng.normal(size=(4, 3, 8, 8))
         rng_p = np.random.default_rng(1)
-        plans = make_plans(4, rng_p, FdaConfig(p_apply=1.0))
+        cfg = FdaConfig(p_apply=1.0)
+        plans = make_plans(4, rng_p, cfg)
         while not any(p.apply for p in plans.values()):
-            plans = make_plans(4, rng_p, FdaConfig(p_apply=1.0))
+            plans = make_plans(4, rng_p, cfg)
         base, _ = small_model.forward(x, mode="eval")
-        mixed, _ = small_model.forward(x, mode="train", fda_plans=plans)
+        mixed, _ = small_model.forward(x, mode="train", mix=mixer(plans, cfg))
         assert not np.allclose(base.data, mixed.data)
+
+    def test_mix_hook_runs_after_blocks_1_and_2_in_train_mode(self, small_model, rng):
+        x = rng.normal(size=(2, 3, 8, 8))
+        seen = []
+
+        def mix(site, h):
+            seen.append((site, h.shape))
+            return h
+
+        _, plain = small_model.forward(x, mode="train")
+        _, hooked = small_model.forward(x, mode="train", mix=mix)
+        assert seen == [(1, (2, 4, 8, 8)), (2, (2, 4, 8, 8))]
+        assert np.array_equal(plain.data, hooked.data)
+        small_model.forward(x, mode="eval", mix=mix)
+        assert len(seen) == 2
+        assert not hasattr(small_model, "hook_sites")
 
     def test_batch_stats_mode_differs_and_is_finite(self, small_model, rng):
         x = rng.normal(size=(4, 3, 8, 8)) * 2.0 + 1.0
@@ -158,12 +176,13 @@ class TestFullLossGradients:
         model = Backbone(widths=(2, 3, 3, 3), num_classes=4, init_seed=1)
         model.params["head.weight"].data[:] = rng.normal(size=(3, 4)) * 0.5
         x = rng.normal(size=(4, 2, 6, 6))
-        plans = make_plans(4, np.random.default_rng(5), FdaConfig(p_apply=1.0))
+        cfg = FdaConfig(p_apply=1.0, eps=1e-4)
+        plans = make_plans(4, np.random.default_rng(5), cfg)
         for plan in plans.values():
             plan.apply = True
 
         def fn():
-            _, logits = model.forward(x, mode="train", fda_plans=plans, fda_eps=1e-4)
+            _, logits = model.forward(x, mode="train", mix=mixer(plans, cfg))
             return softmax_cross_entropy(logits, [0, 1, 2, 3])
 
         report = finite_diff_check(fn, model.params, max_coords_per_param=6,

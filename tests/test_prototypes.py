@@ -148,15 +148,3 @@ class TestProtoClassify:
         with pytest.raises(ConfigError):
             proto_classify(bank, [1.0, 1.0], temperature=0.0)
 
-
-class TestSnapshot:
-    def test_round_trip(self, rng, tmp_path):
-        bank = PrototypeBank(rng.normal(size=(3, 4)), ema_beta=0.85)
-        ema_update(bank, rng.normal(size=(5, 4)), [0, 1, 2, 0, 1])
-        path = tmp_path / "bank.json"
-        bank.save_snapshot(path)
-        import json
-        restored = PrototypeBank.from_snapshot(json.loads(path.read_text()))
-        assert np.array_equal(restored.prototypes, bank.prototypes)
-        assert restored.t == bank.t
-        assert np.array_equal(restored.update_counts, bank.update_counts)

@@ -225,6 +225,23 @@ class TestInstanceNorm:
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("axes", [(2, 3), (0, 2, 3)])
+    def test_affine_gradients_independent_of_input_gradient(self, rng, axes):
+        """Without x needing a gradient the backward skips it; the affine
+        gradients stay bitwise those of the full backward."""
+        x = rng.normal(size=(8, 4, 6, 6)) * 2.0 + 1.0
+        gamma, beta = rng.normal(size=4) + 1.0, rng.normal(size=4)
+        probe = rng.normal(size=x.shape)
+        grads = []
+        for x_grad in (True, False):
+            xt = Tensor(x, requires_grad=x_grad)
+            gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            _normalize(xt, gt, bt, axes, 1e-5).backward(probe)
+            assert (xt.grad is not None) == x_grad
+            grads.append((gt.grad, bt.grad))
+        for full, skipped in zip(*grads):
+            assert np.array_equal(full, skipped)
+
 
 # (x shape, kernel shape): H != W with k=3, and k=5 wider than W
 CONV_SHAPES = [((2, 3, 4, 7), (2, 3, 3, 3)),

@@ -51,7 +51,6 @@ from .stream import (
     AdaptConfig,
     AdaptState,
     StreamBatch,
-    StreamMetrics,
     adapt_batch,
     consistency_mask,
     entropy,
@@ -120,7 +119,6 @@ __all__ = [
     "AdaptConfig",
     "AdaptState",
     "StreamBatch",
-    "StreamMetrics",
     "adapt_batch",
     "consistency_mask",
     "entropy",

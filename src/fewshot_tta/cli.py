@@ -16,35 +16,34 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .config import (RunConfig, config_hash, file_sha256, load_config, seed_plan,
+from .config import (RunConfig, config_hash, file_sha256, load_config, override, seed_plan,
                      serialize)
-from .data import SupportSet, manifest, read_dataset, write_csv, write_dataset, write_json
-from .errors import ConfigError, DataError, NumericError
+from .data import (SupportSet, manifest, read_dataset, read_json, write_csv, write_dataset,
+                   write_json)
+from .errors import ConfigError, DataError, FewshotTtaError
 from .finetune import finetune
 from .model import load_model, save_model, train_source
-from .stream import resolve_method
+
+
+# each override flag and the config field it sets, applied in this order
+FLAG_FIELDS = {
+    "seed": "master_seed",
+    "trial_seed": "trial_seed",
+    "k": "k",
+    "method": "method",
+    "alpha": "adapt.alpha",
+    "batch_size": "adapt.batch_size",
+    "epochs": "finetune.epochs",
+    "lr": "finetune.lr",
+    "iters": "source.iters",
+}
 
 
 def _config_from(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "trial_seed", None) is not None:
-        cfg = replace(cfg, trial_seed=args.trial_seed)
-    if getattr(args, "k", None) is not None:
-        cfg = replace(cfg, k=args.k)
-    if getattr(args, "method", None) is not None:
-        cfg = replace(cfg, method=resolve_method(args.method))
-    if getattr(args, "alpha", None) is not None:
-        cfg = replace(cfg, adapt=replace(cfg.adapt, alpha=args.alpha))
-    if getattr(args, "batch_size", None) is not None:
-        cfg = replace(cfg, adapt=replace(cfg.adapt, batch_size=args.batch_size))
-    if getattr(args, "epochs", None) is not None:
-        cfg = replace(cfg, finetune=replace(cfg.finetune, epochs=args.epochs))
-    if getattr(args, "lr", None) is not None:
-        cfg = replace(cfg, finetune=replace(cfg.finetune, lr=args.lr))
-    if getattr(args, "iters", None) is not None:
-        cfg = replace(cfg, source=replace(cfg.source, iters=args.iters))
+    for flag, path in FLAG_FIELDS.items():
+        if getattr(args, flag, None) is not None:
+            cfg = override(cfg, path, getattr(args, flag))
     return cfg
 
 
@@ -60,16 +59,11 @@ def cmd_gen_data(args) -> int:
     bench = harness.prepare_benchmark(cfg)
     trial = harness.make_trial(cfg, bench)
 
-    files = {}
-    for i, domain in enumerate(bench.source_data):
-        files[f"source{i}"] = str(out / f"source{i}.ttad")
-        write_dataset(files[f"source{i}"], domain, bench.class_count)
-    files["target"] = str(out / "target.ttad")
-    write_dataset(files["target"], bench.target_data, bench.class_count)
-    files["support"] = str(out / "support.ttad")
-    write_dataset(files["support"], trial.support.samples, bench.class_count)
-    files["stream"] = str(out / "stream.ttad")
-    write_dataset(files["stream"], trial.remainder, bench.class_count)
+    parts = {f"source{i}": domain for i, domain in enumerate(bench.source_data)}
+    parts.update(target=bench.target_data, support=trial.support.samples, stream=trial.remainder)
+    files = {name: str(out / f"{name}.ttad") for name in parts}
+    for name, records in parts.items():
+        write_dataset(files[name], records, bench.class_count)
 
     data_cfg = replace(cfg.data, master_seed=cfg.master_seed)
     write_json(out / "manifest.json", manifest(data_cfg, files))
@@ -178,7 +172,10 @@ def cmd_sweep(args) -> int:
     values = None
     if args.values:
         cast = float if args.axis == "alpha" else int
-        values = [cast(v) for v in args.values.split(",")]
+        try:
+            values = [cast(v) for v in args.values.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--values {args.values!r}: {exc}") from exc
     trial_seeds = tuple(range(args.trials))
     doc = harness.sweep(cfg, args.axis, values=values, trial_seeds=trial_seeds)
     write_json(args.out, doc)
@@ -187,13 +184,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    docs = []
-    for path in args.metrics:
-        try:
-            with open(path) as fh:
-                docs.append(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    docs = [read_json(path) for path in args.metrics]
     report = harness.build_report(docs, paths=args.metrics, force=args.force)
     print(harness.format_report(report))
     if args.csv:
@@ -287,15 +278,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except FewshotTtaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

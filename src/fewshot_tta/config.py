@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .data import BenchmarkConfig
+from .data import BenchmarkConfig, read_json
 from .errors import ConfigError
 from .finetune import FinetuneConfig
 from .model import SourceConfig
@@ -39,7 +39,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        resolve_method(self.method)
+        self.method = resolve_method(self.method)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.ema_beta <= 1.0:
@@ -69,14 +69,28 @@ def serialize(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
 
 
-def _tuples(value):
-    return tuple(_tuples(v) if isinstance(v, list) else v for v in value)
+# the JSON types a config value may take, by the type of its field's default;
+# the one None default is trial_seed's, which takes an int or null
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), type(None): (int, type(None))}
+
+
+def _typed(value, default, where: str):
+    """value, with lists made tuples, if its type fits its field's default; a
+    tuple's elements are checked against the default's first element."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_typed(v, default[0], where) for v in value)
+    accepts = _ACCEPTS[type(default)]
+    if type(value) not in accepts:
+        raise ConfigError(f"{where} must be {'/'.join(t.__name__ for t in accepts)}, got {value!r}")
+    return value
 
 
 def _build(cls, doc, where: str):
     """cls(**doc), rebuilding every field whose default is a dataclass from
-    its sub-object and turning lists into tuples wherever the default is a
-    tuple. Any mistyped value ends in a ConfigError.
+    its sub-object and type-checking every other value against its default
+    (see _typed). Any mistyped value ends in a ConfigError.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
@@ -89,33 +103,35 @@ def _build(cls, doc, where: str):
         f = fields[name]
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         if dataclasses.is_dataclass(default):
-            value = _build(type(default), value, f"config section {name!r}")
-        elif isinstance(default, tuple) and isinstance(value, list):
-            value = _tuples(value)
-        kwargs[name] = value
+            kwargs[name] = _build(type(default), value, f"config section {name!r}")
+        else:
+            kwargs[name] = _typed(value, default, f"{cls.__name__} value {name!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def from_dict(doc: dict) -> RunConfig:
-    """Rebuild a RunConfig from parsed JSON, restoring tuple-typed fields."""
-    return _build(RunConfig, doc, "config root")
-
-
 def parse(text: str) -> RunConfig:
     """Inverse of serialize; parse(serialize(c)) == c for every valid c."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return from_dict(doc)
+    return _build(RunConfig, doc, "config root")
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse(fh.read())
+    return _build(RunConfig, read_json(path, ConfigError), "config root")
+
+
+def override(cfg, path: str, value):
+    """cfg with the field at a dotted path such as "adapt.alpha" set to value,
+    by nested dataclasses.replace, so every __post_init__ validates it."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = override(getattr(cfg, name), rest, value)
+    return dataclasses.replace(cfg, **{name: value})
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -1,5 +1,5 @@
 """Synthetic multi-domain image data, the TTAD on-disk format, and the one
-atomic writer every artifact goes through.
+atomic writer and the two checked readers every artifact goes through.
 
 Each class owns a fixed spatial template (a Gaussian blob plus a sinusoidal
 pattern per channel, shared by every domain). A domain restyles templates with
@@ -205,6 +205,36 @@ def write_csv(path, fieldnames, rows) -> None:
         writer.writerows(rows)
 
 
+def read_artifact(path, header: struct.Struct, magic: bytes, version: int) -> tuple[bytes, tuple]:
+    """A binary artifact's bytes and its unpacked header, which begins with
+    the magic and the version; a short file, a wrong magic and a wrong
+    version each raise their DataFormatError.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < header.size:
+        raise TruncatedFileError(f"{path}: file shorter than the header")
+    fields = header.unpack_from(raw)
+    if fields[0] != magic:
+        raise BadMagicError(f"{path}: bad magic {fields[0]!r}, expected {magic!r}")
+    if fields[1] != version:
+        raise VersionMismatchError(f"{path}: version {fields[1]}, this reader handles {version}")
+    return raw, fields
+
+
+def read_json(path, error=DataError) -> dict:
+    """The JSON object in a UTF-8 file; anything else raises error."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # also covers UnicodeDecodeError and JSONDecodeError
+        raise error(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 # -- TTAD binary format --------------------------------------------------
 
 _HEADER = struct.Struct("<4sIIIIIII")  # magic, version, n, C, H, W, num_classes, domain_id
@@ -249,19 +279,14 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int,
 
 def read_dataset(path) -> Dataset:
     """Read a TTAD file back; pixels come out float64 (f32-exact values)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than the header")
-    magic, version, n, c, h, w, num_classes, domain_id = _HEADER.unpack_from(raw)
-    if magic != DATASET_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
-    if version != DATASET_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, this reader handles {DATASET_VERSION}")
+    raw, (_, _, n, c, h, w, num_classes, domain_id) = read_artifact(
+        path, _HEADER, DATASET_MAGIC, DATASET_VERSION)
     rec_bytes = 2 + 4 * c * h * w
     expected = _HEADER.size + n * rec_bytes
     if len(raw) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes for {n} records, got {len(raw)}")
+    if len(raw) > expected:
+        raise DataFormatError(f"{path}: {len(raw) - expected} trailing bytes after {n} records")
     if n == 0:
         return Dataset(records=[], num_classes=num_classes, domain_id=domain_id)
     # the size check above bounds c * h * w, so the record dtype is small

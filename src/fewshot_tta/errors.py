@@ -2,7 +2,9 @@
 
 
 class FewshotTtaError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; exit_code is the CLI's exit status."""
+
+    exit_code = 1
 
 
 class ConfigError(FewshotTtaError):
@@ -11,6 +13,8 @@ class ConfigError(FewshotTtaError):
 
 class DataError(FewshotTtaError):
     """Invalid input data or dataset contents (CLI exit code 2)."""
+
+    exit_code = 2
 
 
 class DataFormatError(DataError):
@@ -31,6 +35,8 @@ class VersionMismatchError(DataFormatError):
 
 class NumericError(FewshotTtaError):
     """Numerical failure such as a diverged training loss (CLI exit code 3)."""
+
+    exit_code = 3
 
 
 class DegenerateSimilarityWarning(RuntimeWarning):

@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SupportSet, records_as_arrays
-from .errors import ConfigError, DataError, NumericError
+from .data import SupportSet, records_as_arrays
+from .errors import ConfigError, NumericError
 from .fda import FdaConfig, make_plans, mixer
 from .model import Backbone, predict
 from .optim import Adam
 from .tensor import softmax_cross_entropy
-
-__all__ = ["SupportSet", "FinetuneConfig", "finetune", "eval_accuracy"]
-
 
 @dataclass
 class FinetuneConfig:
@@ -85,13 +82,7 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig):
     return tuned, trace
 
 
-def eval_accuracy(model: Backbone, dataset) -> float:
-    """Top-1 accuracy in eval mode; never changes the model."""
-    if isinstance(dataset, Dataset):
-        records = dataset.records
-    else:
-        records = list(dataset)
-    if not records:
-        raise DataError("cannot evaluate on an empty dataset")
+def eval_accuracy(model: Backbone, records) -> float:
+    """Top-1 accuracy over records in eval mode; never changes the model."""
     x, y = records_as_arrays(records)
     return float(np.mean(predict(model, x) == y))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig, config_hash, seed_plan, serialize
+from .config import RunConfig, config_hash, override, seed_plan, serialize
 from .data import SupportSet, generate_benchmark, records_as_arrays, split_support
 from .errors import ConfigError, DataError
 from .finetune import eval_accuracy, finetune
@@ -101,24 +101,25 @@ def adapt_stream(cfg: RunConfig, method: str, model: Backbone, records, stream_s
                  bank=None) -> dict:
     """Batch the records into a stream, run one method over it, return its metric fields.
 
-    The one adapt path of run-all and ``fewshot-tta adapt``. model (and bank,
+    The one adapt path of run-all and ``fewshot-tta adapt``, and the one
+    place that turns a run's AdaptState into a document. model (and bank,
     for fs_tta) are adapted in place; seconds times the stream loop only.
     """
     stream = make_stream(records, cfg.adapt.batch_size, stream_seed, cfg.stream_order)
     t0 = time.perf_counter()
-    metrics = run_baseline(method, model, stream, cfg.adapt, bank=bank)
+    state = run_baseline(method, model, stream, cfg.adapt, bank=bank)
     seconds = time.perf_counter() - t0
     return {
-        "method": metrics.method,
-        "final_accuracy": metrics.final_accuracy,
-        "correct": metrics.correct,
-        "total": metrics.total,
-        "curve": metrics.accuracy_curve,
-        "rows": metrics.rows,
-        "selected_total": metrics.selected_total,
-        "mask_total": metrics.mask_total,
-        "loss_skipped": metrics.loss_skipped,
-        "adam_skipped": metrics.adam_skipped,
+        "method": resolve_method(method),
+        "final_accuracy": state.final_accuracy,
+        "correct": state.online_correct,
+        "total": state.online_total,
+        "curve": [row["cumulative_accuracy"] for row in state.rows],
+        "rows": state.rows,
+        "selected_total": state.selected_total,
+        "mask_total": state.mask_total,
+        "loss_skipped": state.loss_skipped,
+        "adam_skipped": state.opt.state.skipped_steps if state.opt else 0,
         "seconds": seconds,
     }
 
@@ -192,6 +193,9 @@ SWEEP_DEFAULTS = {
     "batch": (8, 16, 32, 64, 128),
 }
 
+# the config field each sweep axis sets
+SWEEP_FIELDS = {"alpha": "adapt.alpha", "kshot": "k", "batch": "adapt.batch_size"}
+
 
 def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
           source_model: Backbone = None, bench: Bench = None) -> dict:
@@ -228,13 +232,7 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
         secs = []
         samples = 0
         for seed in trial_seeds:
-            run_cfg = replace(cfg, trial_seed=seed)
-            if axis == "alpha":
-                run_cfg = replace(run_cfg, adapt=replace(cfg.adapt, alpha=value))
-            elif axis == "kshot":
-                run_cfg = replace(run_cfg, k=value)
-            else:
-                run_cfg = replace(run_cfg, adapt=replace(cfg.adapt, batch_size=value))
+            run_cfg = override(replace(cfg, trial_seed=seed), SWEEP_FIELDS[axis], value)
             trial, stage1 = trial_and_stage1(run_cfg)
             result = run_method(run_cfg, trial, source_model, "fs_tta", stage1)
             accs.append(result["final_accuracy"])
@@ -296,9 +294,10 @@ def check_comparable(docs: list, paths=None, force: bool = False) -> None:
     for doc, path in zip(docs, paths):
         if doc.get("schema") != METRICS_SCHEMA:
             raise DataError(f"{path}: schema {doc.get('schema')!r}, expected {METRICS_SCHEMA!r}")
-        for key in ("method", "final_accuracy", "num_classes", "total"):
-            if key not in doc:
-                raise DataError(f"{path}: metrics file missing {key!r}")
+        for key, types in (("method", (str,)), ("final_accuracy", (int, float)),
+                           ("num_classes", (int,)), ("total", (int,))):
+            if type(doc.get(key)) not in types:
+                raise DataError(f"{path}: metrics field {key!r} missing or mistyped: {doc.get(key)!r}")
     classes = {doc["num_classes"] for doc in docs}
     if len(classes) > 1:
         offender = paths[[doc["num_classes"] for doc in docs].index(sorted(classes)[1])]

@@ -8,20 +8,19 @@ head} so adapters can choose what to update.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_open, records_as_arrays
+from .data import atomic_open, read_artifact, records_as_arrays
 from .errors import (
-    BadMagicError,
     ConfigError,
     DataError,
     DataFormatError,
     NumericError,
     TruncatedFileError,
-    VersionMismatchError,
 )
 from .optim import Adam
 from .seeding import rng_for, sub_seed
@@ -45,6 +44,27 @@ MODEL_VERSION = 1
 PARAM_GROUPS = ("conv", "norm_affine", "head")
 
 
+def param_shapes(widths, num_classes: int) -> dict[str, tuple]:
+    """Each parameter's shape, in declaration (and on-disk blob) order.
+
+    Checks the architecture first, so a caller can size the parameters
+    before allocating any of them.
+    """
+    if len(widths) != 4 or any(w < 1 for w in widths):
+        raise ConfigError(f"widths must be 4 positive channel counts, got {widths}")
+    if num_classes < 2:
+        raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
+    shapes = {}
+    for i in range(3):
+        cin, cout = widths[i], widths[i + 1]
+        shapes[f"conv{i + 1}.weight"] = (cout, cin, 3, 3)
+        shapes[f"norm{i + 1}.gamma"] = (cout,)
+        shapes[f"norm{i + 1}.beta"] = (cout,)
+    shapes["head.weight"] = (widths[-1], num_classes)
+    shapes["head.bias"] = (num_classes,)
+    return shapes
+
+
 class Backbone:
     """3-block CNN with instance normalization and a linear classifier.
 
@@ -55,25 +75,18 @@ class Backbone:
 
     def __init__(self, widths=(3, 16, 32, 32), num_classes: int = 6, init_seed: int = 0):
         widths = tuple(int(w) for w in widths)
-        if len(widths) != 4 or any(w < 1 for w in widths):
-            raise ConfigError(f"widths must be 4 positive channel counts, got {widths}")
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
+        shapes = param_shapes(widths, num_classes)
         self.widths = widths
         self.num_classes = int(num_classes)
         self.embed_dim = widths[-1]
         rng = np.random.default_rng(init_seed)
         self.params: dict[str, Tensor] = {}
-        for i in range(3):
-            cin, cout = widths[i], widths[i + 1]
-            scale = np.sqrt(2.0 / (cin * 9))
-            self.params[f"conv{i + 1}.weight"] = Tensor(
-                rng.normal(0.0, scale, size=(cout, cin, 3, 3)), requires_grad=True)
-            self.params[f"norm{i + 1}.gamma"] = Tensor(np.ones(cout), requires_grad=True)
-            self.params[f"norm{i + 1}.beta"] = Tensor(np.zeros(cout), requires_grad=True)
-        self.params["head.weight"] = Tensor(np.zeros((self.embed_dim, num_classes)),
-                                            requires_grad=True)
-        self.params["head.bias"] = Tensor(np.zeros(num_classes), requires_grad=True)
+        for name, shape in shapes.items():
+            if name.startswith("conv"):
+                data = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
+            else:
+                data = np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
+            self.params[name] = Tensor(data, requires_grad=True)
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -233,59 +246,47 @@ def train_source(source_data, cfg: SourceConfig,
 
 # -- TTAM model files ----------------------------------------------------
 
-_MODEL_HEADER = struct.Struct("<4sI")
+# magic, version, width count (always 4), the 4 widths, embed_dim, num_classes
+_MODEL_HEADER = struct.Struct("<4sII4III")
 
 
 def save_model(path, model: Backbone) -> None:
     """Write the architecture descriptor and f64 parameter blobs, atomically."""
     with atomic_open(path, "wb") as f:
-        f.write(_MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION))
-        f.write(struct.pack("<I", len(model.widths)))
-        for w in model.widths:
-            f.write(struct.pack("<I", w))
-        f.write(struct.pack("<II", model.embed_dim, model.num_classes))
+        f.write(_MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(model.widths), *model.widths,
+                                   model.embed_dim, model.num_classes))
         for p in model.params.values():
             f.write(p.data.astype("<f8").tobytes())
 
 
 def load_model(path) -> Backbone:
-    """Rebuild a Backbone from a TTAM file, verifying structure byte counts."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _MODEL_HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than the header")
-    magic, version = _MODEL_HEADER.unpack_from(raw)
-    if magic != MODEL_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-    if version != MODEL_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, this reader handles {MODEL_VERSION}")
-    off = _MODEL_HEADER.size
-    try:
-        (n_widths,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        widths = struct.unpack_from(f"<{n_widths}I", raw, off)
-        off += 4 * n_widths
-        embed_dim, num_classes = struct.unpack_from("<II", raw, off)
-        off += 8
-    except struct.error as exc:
-        raise TruncatedFileError(f"{path}: architecture descriptor cut short") from exc
-    if len(widths) != 4:
-        raise DataFormatError(f"{path}: expected 4 channel widths, got {len(widths)}")
+    """Rebuild a Backbone from a TTAM file, verifying structure byte counts.
+
+    The file length is checked against the header's architecture before any
+    parameter is allocated.
+    """
+    raw, (_, _, n_widths, *widths, embed_dim, num_classes) = read_artifact(
+        path, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION)
+    if n_widths != 4:
+        raise DataFormatError(f"{path}: expected 4 channel widths, got {n_widths}")
     if embed_dim != widths[-1]:
         raise DataFormatError(f"{path}: embedding dim {embed_dim} != last width {widths[-1]}")
     try:
-        model = Backbone(widths=widths, num_classes=num_classes)
+        shapes = param_shapes(widths, num_classes)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    for name, p in model.params.items():
-        nbytes = p.data.size * 8
-        if off + nbytes > len(raw):
+    end = off = _MODEL_HEADER.size
+    for name, shape in shapes.items():
+        end += 8 * math.prod(shape)
+        if end > len(raw):
             raise TruncatedFileError(f"{path}: parameter {name!r} cut short")
+    if end != len(raw):
+        raise DataFormatError(f"{path}: {len(raw) - end} trailing bytes after parameters")
+    model = Backbone(widths=widths, num_classes=num_classes)
+    for p in model.params.values():
         blob = np.frombuffer(raw, dtype="<f8", count=p.data.size, offset=off)
         p.data = blob.reshape(p.data.shape).copy()
-        off += nbytes
-    if off != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes after parameters")
+        off += p.data.nbytes
     return model
 
 

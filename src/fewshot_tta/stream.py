@@ -74,7 +74,8 @@ class AdaptConfig:
 
 @dataclass
 class AdaptState:
-    """Everything the online loop owns while consuming a stream."""
+    """Everything the online loop owns while consuming a stream; after
+    run_baseline, also the record of the run."""
 
     model: Backbone
     bank: PrototypeBank | None
@@ -88,7 +89,7 @@ class AdaptState:
     rows: list = field(default_factory=list)
 
     @property
-    def online_accuracy(self) -> float:
+    def final_accuracy(self) -> float:
         return self.online_correct / self.online_total if self.online_total else 0.0
 
 
@@ -305,28 +306,10 @@ def make_stream(records, batch_size: int, seed: int, order: str = "shuffled") ->
             for i in range(0, len(records), batch_size)]
 
 
-@dataclass
-class StreamMetrics:
-    """What one method did on one stream."""
-
-    method: str
-    correct: int
-    total: int
-    rows: list
-    accuracy_curve: list
-    selected_total: int = 0
-    mask_total: int = 0
-    loss_skipped: int = 0
-    adam_skipped: int = 0
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
-
-
 def run_baseline(kind: str, model: Backbone, stream: list[StreamBatch], cfg: AdaptConfig,
-                 bank: PrototypeBank | None = None) -> StreamMetrics:
-    """Run one adapter over a stream and score its online predictions.
+                 bank: PrototypeBank | None = None) -> AdaptState:
+    """Run one adapter over a stream, score its online predictions, and
+    return the state it ran, which holds the run's counters and batch rows.
 
     The model passed in must already match the kind: fine-tuned for the ft_*
     kinds and for fs_tta (which also needs the support-initialized bank).
@@ -344,7 +327,6 @@ def run_baseline(kind: str, model: Backbone, stream: list[StreamBatch], cfg: Ada
         state = init_adapt_state(model, None, cfg, trainable=False)
         step = partial(frozen_batch, batch_stats=kind == "norm_stat")
 
-    curve = []
     for batch in stream:
         preds = step(state, batch.inputs)
         row = state.rows[-1]
@@ -352,11 +334,5 @@ def run_baseline(kind: str, model: Backbone, stream: list[StreamBatch], cfg: Ada
         row["batch_size"] = len(batch.hidden_labels)
         state.online_correct += row["batch_correct"]
         state.online_total += row["batch_size"]
-        row["cumulative_accuracy"] = state.online_accuracy
-        curve.append(state.online_accuracy)
-
-    return StreamMetrics(
-        method=kind, correct=state.online_correct, total=state.online_total, rows=state.rows,
-        accuracy_curve=curve, selected_total=state.selected_total,
-        mask_total=state.mask_total, loss_skipped=state.loss_skipped,
-        adam_skipped=state.opt.state.skipped_steps if state.opt else 0)
+        row["cumulative_accuracy"] = state.final_accuracy
+    return state

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from fewshot_tta import harness
-from fewshot_tta import data
+from fewshot_tta import cli, data, harness
 from fewshot_tta.cli import build_parser, main
-from fewshot_tta.config import config_hash, file_sha256, load_config, seed_plan, serialize
+from fewshot_tta.config import (RunConfig, config_hash, file_sha256, load_config, seed_plan,
+                                serialize)
 from fewshot_tta.data import read_dataset, write_dataset, write_json
+from fewshot_tta.errors import ConfigError, DataError, NumericError, TruncatedFileError
 from fewshot_tta.model import load_model
 from fewshot_tta.stream import resolve_method
 from test_harness import tiny_cfg
@@ -237,6 +238,21 @@ class TestReport:
         bad.write_text("{broken")
         assert main(["report", str(bad)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"final_accuracy": "high"}, {"total": 2.5}, {"num_classes": None}, {"method": 3}])
+    def test_mistyped_metrics_are_data_errors(self, tmp_path, capsys, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": harness.METRICS_SCHEMA, "method": "erm",
+                                    "final_accuracy": 0.5, "num_classes": 3, "total": 10, **doc}))
+        assert main(["report", str(path)]) == 2
+        assert "missing or mistyped" in capsys.readouterr().err
+
+    def test_non_utf8_metrics_are_data_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"method": "\xa0"}')
+        assert main(["report", str(path)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_alpha_sweep_writes_doc(self, cfg_path, tmp_path, capsys):
@@ -247,6 +263,13 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert doc["alpha0_matches_stage1"] is True
         assert "alpha" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("axis, values", [("alpha", "a,b"), ("kshot", "1.5"), ("batch", "8,")])
+    def test_unparsable_values_are_config_errors(self, cfg_path, tmp_path, capsys, axis, values):
+        rc = main(["sweep", "--config", cfg_path, "--axis", axis, "--values", values,
+                   "--out", str(tmp_path / "sweep.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --values")
 
 
 class TestRunAllCommand:
@@ -280,7 +303,8 @@ class TestExitCodes:
         rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")])
         assert rc == 1
 
-    @pytest.mark.parametrize("doc", [{"widths": 5}, {"adapt": 5}, {"k": "five"}])
+    @pytest.mark.parametrize("doc", [{"widths": 5}, {"adapt": 5}, {"k": "five"},
+                                     {"master_seed": "x"}])
     def test_mistyped_config_is_config_error(self, tmp_path, capsys, doc):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
@@ -288,6 +312,65 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"method": "\xa0"}')
+        rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError, 1), (DataError, 2), (TruncatedFileError, 2), (NumericError, 3),
+        (OSError, 2)])
+    def test_each_error_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+        monkeypatch.setattr(cli, "cmd_report", fail)
+        assert main(["report", "m.json"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+
+# the arguments each subcommand requires, so one flag can be parsed alone
+_REQUIRED = {
+    "run-all": ["--out", "o"],
+    "train-source": ["--data", "d", "--out", "o"],
+    "finetune": ["--model", "m", "--support", "s", "--out", "o"],
+    "adapt": ["--model", "m", "--stream", "s", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, field, want", [
+    ("run-all", "--seed", "4", "master_seed", 4),
+    ("run-all", "--trial-seed", "5", "trial_seed", 5),
+    ("run-all", "--k", "3", "k", 3),
+    ("adapt", "--method", "bn", "method", "norm_stat"),
+    ("adapt", "--alpha", "0.25", "adapt.alpha", 0.25),
+    ("adapt", "--batch-size", "16", "adapt.batch_size", 16),
+    ("finetune", "--epochs", "7", "finetune.epochs", 7),
+    ("finetune", "--lr", "0.01", "finetune.lr", 0.01),
+    ("train-source", "--iters", "9", "source.iters", 9),
+])
+def test_each_flag_sets_its_field(command, flag, value, field, want):
+    args = build_parser().parse_args([command, *_REQUIRED[command], flag, value])
+    expected = json.loads(serialize(RunConfig()))
+    *sections, name = field.split(".")
+    node = expected
+    for section in sections:
+        node = node[section]
+    node[name] = want
+    assert json.loads(serialize(cli._config_from(args))) == expected
+
+
+def test_method_alias_by_flag_or_file_gives_one_hash(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"method": "tent"}')
+    parser = build_parser()
+    by_file = cli._config_from(parser.parse_args(["run-all", "--config", str(path),
+                                                  *_REQUIRED["run-all"]]))
+    by_flag = cli._config_from(parser.parse_args(["adapt", "--method", "tent",
+                                                  *_REQUIRED["adapt"]]))
+    assert config_hash(by_file) == config_hash(by_flag)
 
 
 class _DiskFull:

@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
-from fewshot_tta.config import (RunConfig, config_hash, file_sha256, parse, seed_plan,
-                                serialize)
+from fewshot_tta.config import (RunConfig, config_hash, file_sha256, override, parse,
+                                seed_plan, serialize)
 from fewshot_tta.data import BenchmarkConfig
 from fewshot_tta.errors import ConfigError
 from fewshot_tta.fda import FdaConfig
@@ -84,10 +84,26 @@ class TestValidation:
         ('[1, 2]', "root must be an object"),
         ('{"data": {"target_gain": 0.5}}', "BenchmarkConfig"),
         ('{"finetune": {"fda": {"sites": [3]}}}', "sites"),
+        ('{"master_seed": "x"}', "'master_seed' must be int"),
+        ('{"trial_seed": 1.5}', "'trial_seed' must be int/NoneType"),
+        ('{"widths": "abcd"}', "'widths' must be a list"),
+        ('{"widths": [3, 16, 32.0, 32]}', "'widths' must be int"),
+        ('{"k": 2.5}', "'k' must be int"),
+        ('{"k": true}', "'k' must be int"),
+        ('{"data": {"per_class_count": 2.5}}', "'per_class_count' must be int"),
+        ('{"data": {"target_gain": [0.1, "1", 1.0]}}', "'target_gain' must be int/float"),
+        ('{"source": {"iters": 2.5}}', "'iters' must be int"),
+        ('{"finetune": {"fda": {"enabled": 1}}}', "'enabled' must be bool"),
+        ('{"adapt": {"groups": ["conv", 3]}}', "'groups' must be str"),
     ])
     def test_mistyped_value_is_config_error(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse(text)
+
+    def test_floats_take_ints_and_trial_seed_takes_null(self):
+        cfg = parse('{"adapt": {"alpha": 1}, "ema_beta": 0, "trial_seed": null}')
+        assert cfg.adapt.alpha == 1 and cfg.ema_beta == 0 and cfg.trial_seed is None
+        assert parse('{"trial_seed": 3}').trial_seed == 3
 
     def test_partial_config_fills_defaults(self):
         cfg = parse('{"k": 3}')
@@ -123,3 +139,20 @@ class TestFileHash:
         path = tmp_path / "blob.bin"
         path.write_bytes(b"abc" * 1000)
         assert file_sha256(path) == hashlib.sha256(b"abc" * 1000).hexdigest()
+
+
+class TestOverride:
+    def test_sets_a_nested_field_and_nothing_else(self):
+        cfg = override(_custom(), "finetune.fda.p_apply", 0.25)
+        assert cfg.finetune.fda.p_apply == 0.25
+        assert override(cfg, "finetune.fda.p_apply", 0.8) == _custom()
+
+    @pytest.mark.parametrize("path, value, match", [
+        ("adapt.alpha", 1.5, "alpha"), ("k", 0, "k must"), ("method", "sgd", "method")])
+    def test_post_init_validates_the_new_value(self, path, value, match):
+        with pytest.raises(ConfigError, match=match):
+            override(RunConfig(), path, value)
+
+    def test_method_alias_is_stored_resolved(self):
+        assert override(RunConfig(), "method", "tent").method == "entropy_min"
+        assert parse('{"method": "bn"}').method == "norm_stat"

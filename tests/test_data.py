@@ -12,6 +12,7 @@ from fewshot_tta.data import (
     gen_domain,
     generate_benchmark,
     read_dataset,
+    read_json,
     records_as_arrays,
     split_support,
     write_dataset,
@@ -221,6 +222,13 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="record 1 has label 6, out of range for 6"):
             read_dataset(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "g.ttad"
+        write_dataset(path, self.make_records(), num_classes=4)
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(DataFormatError, match="7 trailing bytes"):
+            read_dataset(path)
+
     def test_one_byte_short_is_truncated(self, tmp_path):
         path = tmp_path / "t.ttad"
         write_dataset(path, self.make_records(), num_classes=4)
@@ -240,3 +248,23 @@ class TestDatasetFile:
                    SampleRecord(label=0, pixels=np.zeros((1, 2, 2)), domain_id=1)]
         with pytest.raises(DataError, match="domain"):
             write_dataset(tmp_path / "x.ttad", records, num_classes=4)
+
+
+class TestReadJson:
+    def test_returns_the_object(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5], "b": "\u00e9"}', encoding="utf-8")
+        assert read_json(path) == {"a": [1, 2.5], "b": "\u00e9"}
+
+    @pytest.mark.parametrize("blob, match", [
+        (b'{"a": "\xa0"}', "UTF-8"),
+        (b'{"a": ', "JSON"),
+        (b"[1, 2]", "object, got list"),
+        (b'"text"', "object, got str"),
+    ])
+    @pytest.mark.parametrize("error", [DataError, ConfigError])
+    def test_rejects_with_the_given_error(self, tmp_path, blob, match, error):
+        path = tmp_path / "doc.json"
+        path.write_bytes(blob)
+        with pytest.raises(error, match=match):
+            read_json(path, error)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from fewshot_tta.data import Dataset, SampleRecord, SupportSet, write_csv
+from fewshot_tta.data import SampleRecord, SupportSet, write_csv
 from fewshot_tta.errors import ConfigError, DataError, NumericError
 from fewshot_tta.fda import FdaConfig
 from fewshot_tta.finetune import FinetuneConfig, eval_accuracy, finetune
@@ -183,12 +183,6 @@ class TestEvalAccuracy:
         model = _model(rng)
         data = _support(rng, k=4).samples
         assert eval_accuracy(model, data) == eval_accuracy(model, data)
-
-    def test_accepts_dataset_object(self, rng):
-        model = _model(rng)
-        recs = _support(rng).samples
-        ds = Dataset(records=recs, num_classes=3, domain_id=0)
-        assert eval_accuracy(model, ds) == eval_accuracy(model, recs)
 
     def test_empty_rejected(self, rng):
         model = _model(rng)

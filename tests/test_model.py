@@ -1,5 +1,7 @@
 """Backbone behavior, parameter groups, source training, TTAM round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fewshot_tta.errors import (
     DataFormatError,
     NumericError,
     TruncatedFileError,
+    VersionMismatchError,
 )
 from fewshot_tta.fda import FdaConfig, make_plans, mixer
 from fewshot_tta.model import (
@@ -250,6 +253,32 @@ class TestModelFile:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(BadMagicError):
             load_model(path)
+
+    def test_version_mismatch(self, small_model, tmp_path):
+        path = tmp_path / "v.ttam"
+        save_model(path, small_model)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatchError, match="version 2"):
+            load_model(path)
+
+    def test_header_size_is_checked_before_allocating(self, tmp_path):
+        # a default-width file whose header claims a second width of 5,000:
+        # building that Backbone would take about 11.5 MB for conv2 alone
+        path = tmp_path / "w.ttam"
+        save_model(path, Backbone(num_classes=6))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = (5000).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="cut short"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncated_names_parameter(self, small_model, tmp_path):
         path = tmp_path / "t.ttam"

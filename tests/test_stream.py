@@ -494,7 +494,7 @@ class TestRunBaseline:
         stream = make_stream(_records(rng, 20), batch_size=8, seed=0)
         metrics = run_baseline("source_only", model, stream, AdaptConfig())
         assert model.params_hash() == before
-        assert metrics.total == 20
+        assert metrics.online_total == 20
         assert 0.0 <= metrics.final_accuracy <= 1.0
 
     def test_norm_stat_never_updates_but_changes_outputs(self, rng):
@@ -507,7 +507,7 @@ class TestRunBaseline:
         bn = run_baseline("norm_stat", model, stream, AdaptConfig())
         src = run_baseline("source_only", model, stream, AdaptConfig())
         assert model.params_hash() == before
-        assert bn.correct != src.correct or bn.rows != src.rows
+        assert bn.online_correct != src.online_correct or bn.rows != src.rows
 
     def test_entropy_min_touches_norm_affine_only(self, rng):
         model = _model(rng)
@@ -529,10 +529,10 @@ class TestRunBaseline:
         stream = make_stream(_records(rng, 24), batch_size=8, seed=0)
         metrics = run_baseline("fs_tta", model, stream, AdaptConfig(alpha=0.5),
                                bank=_bank(rng, model))
-        assert metrics.total == 24
+        assert metrics.online_total == 24
         assert metrics.selected_total == 12
         assert len(metrics.rows) == 3
-        assert len(metrics.accuracy_curve) == 3
+        assert metrics.final_accuracy == metrics.rows[-1]["cumulative_accuracy"]
 
     def test_hidden_labels_never_reach_adaptation(self, rng):
         recs = _records(rng, 24)
@@ -576,7 +576,7 @@ class TestRunBaseline:
             model = _model(np.random.default_rng(31))
             stream = make_stream(recs, batch_size=8, seed=7)
             m = run_baseline("fs_tta", model, stream, cfg, bank=_aligned_bank(model))
-            outs.append((m.correct, repr(m.rows), model.params_hash()))
+            outs.append((m.online_correct, repr(m.rows), model.params_hash()))
             last = m
         assert outs[0] == outs[1]
         assert last.mask_total > 0

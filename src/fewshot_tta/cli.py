@@ -9,15 +9,12 @@ and content hashes. Exit codes: 1 configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .config import (RunConfig, config_hash, file_sha256, load_config, override, seed_plan,
-                     serialize)
+from .config import RunConfig, describe, file_sha256, load_config, override, seed_plan
 from .data import (SupportSet, manifest, read_dataset, read_json, write_csv, write_dataset,
                    write_json)
 from .errors import ConfigError, DataError, FewshotTtaError
@@ -47,12 +44,6 @@ def _config_from(args) -> RunConfig:
     return cfg
 
 
-def _sidecar(cfg: RunConfig, extra: dict) -> dict:
-    doc = {"config": json.loads(serialize(cfg)), "config_hash": config_hash(cfg)}
-    doc.update(extra)
-    return doc
-
-
 def cmd_gen_data(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
@@ -65,12 +56,11 @@ def cmd_gen_data(args) -> int:
     for name, records in parts.items():
         write_dataset(files[name], records, bench.class_count)
 
-    data_cfg = replace(cfg.data, master_seed=cfg.master_seed)
-    write_json(out / "manifest.json", manifest(data_cfg, files))
-    write_json(out / "gen-data.sidecar.json", _sidecar(cfg, {
-        "seeds": trial.seeds, "k": cfg.k,
+    write_json(out / "manifest.json", manifest(cfg.data, trial.seeds["data"], files))
+    write_json(out / "gen-data.sidecar.json", {
+        **describe(cfg), "seeds": trial.seeds, "k": cfg.k,
         "hashes": {name: file_sha256(path) for name, path in files.items()},
-    }))
+    })
     print(f"wrote {len(files)} dataset files to {out}")
     return 0
 
@@ -88,18 +78,18 @@ def cmd_train_source(args) -> int:
     classes = {ds.num_classes for ds in datasets}
     if len(classes) > 1:
         raise DataError(f"source files disagree on class count: {sorted(classes)}")
-    src_cfg = replace(cfg.source, seed=cfg.master_seed)
     t0 = time.perf_counter()
-    model, curve = train_source([ds.records for ds in datasets], src_cfg,
-                                widths=cfg.widths, num_classes=classes.pop())
+    model, curve = train_source([ds.records for ds in datasets], cfg.source,
+                                seed_plan(cfg)["init"], widths=cfg.widths,
+                                num_classes=classes.pop())
     seconds = time.perf_counter() - t0
     save_model(args.out, model)
-    write_json(str(args.out) + ".sidecar.json", _sidecar(cfg, {
-        "data_hash": "+".join(file_sha256(p) for p in paths),
+    write_json(str(args.out) + ".sidecar.json", {
+        **describe(cfg), "data_hash": "+".join(file_sha256(p) for p in paths),
         "final_loss": curve[-1][1] if curve else None,
         "params_hash": model.params_hash().hex(),
         "seconds": seconds,
-    }))
+    })
     print(f"trained source model ({seconds:.1f}s), wrote {args.out}")
     return 0
 
@@ -113,21 +103,20 @@ def cmd_finetune(args) -> int:
         counts[rec.label] = counts.get(rec.label, 0) + 1
     k = min(counts.values()) if counts else 0
     support = SupportSet(samples=ds.records, k=k, class_count=ds.num_classes)
-    ft_cfg = replace(cfg.finetune, seed=seed_plan(cfg)["fda"])
     t0 = time.perf_counter()
-    tuned, trace = finetune(model, support, ft_cfg)
+    tuned, trace = finetune(model, support, cfg.finetune, seed_plan(cfg)["fda"])
     seconds = time.perf_counter() - t0
     save_model(args.out, tuned)
     trace_path = args.trace or str(args.out) + ".trace.csv"
     write_csv(trace_path, ["epoch", "loss", "support_acc"], trace)
-    write_json(str(args.out) + ".sidecar.json", _sidecar(cfg, {
-        "data_hash": file_sha256(args.support),
+    write_json(str(args.out) + ".sidecar.json", {
+        **describe(cfg), "data_hash": file_sha256(args.support),
         "support_size": len(support.samples), "k": k,
         "params_hash": tuned.params_hash().hex(),
         "final_support_acc": trace[-1]["support_acc"] if trace else None,
         "seconds": seconds,
-    }))
-    print(f"fine-tuned for {ft_cfg.epochs} epochs ({seconds:.1f}s), wrote {args.out}")
+    })
+    print(f"fine-tuned for {cfg.finetune.epochs} epochs ({seconds:.1f}s), wrote {args.out}")
     return 0
 
 
@@ -150,13 +139,13 @@ def cmd_adapt(args) -> int:
         bank = harness.support_bank(model, sup.records, sup.num_classes, cfg.ema_beta)
     fields = harness.adapt_stream(cfg, cfg.method, model, ds.records,
                                   seed_plan(cfg)["stream"], bank)
-    write_json(args.out, _sidecar(cfg, {
-        "schema": harness.METRICS_SCHEMA,
+    write_json(args.out, {
+        **describe(cfg), "schema": harness.METRICS_SCHEMA,
         "comparison_hash": harness.comparison_hash(cfg),
         "data_hash": file_sha256(args.stream),
         "num_classes": ds.num_classes,
         **fields,
-    }))
+    })
     if args.batch_csv:
         names = ["batch", "batch_correct", "batch_size", "cumulative_accuracy",
                  "selected", "mask_rate", "loss"]

@@ -1,9 +1,10 @@
 """Run configuration: one serializable object that reaches every stage.
 
 A run is seeded by master_seed (benchmark data and source-model init) and
-trial_seed (support split, mixing draws, stream order). trial_seed defaults
-to master_seed, so a single seed reproduces the whole run; sweeps vary
-trial_seed to re-roll the adaptation while sharing data and source model.
+trial_seed (support split, mixing draws, stream order) alone; seed_plan hands
+each stage its seed. trial_seed defaults to master_seed, so a single seed
+reproduces the whole run; sweeps vary trial_seed to re-roll the adaptation
+while sharing data and source model.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class RunConfig:
 
 
 def seed_plan(cfg: RunConfig) -> dict[str, int]:
-    """Named sub-seeds: data/init ride the master, the rest ride the trial."""
+    """Each seeded stage's seed: data/init ride the master, the rest the trial."""
     trial = cfg.effective_trial_seed
     return {
         "data": cfg.master_seed,
@@ -137,6 +138,11 @@ def override(cfg, path: str, value):
 def config_hash(cfg: RunConfig) -> str:
     """Hex digest identifying the exact configuration."""
     return hashlib.sha256(serialize(cfg).encode()).hexdigest()
+
+
+def describe(cfg: RunConfig) -> dict:
+    """The config and its hash, as every run document and sidecar embeds them."""
+    return {"config": json.loads(serialize(cfg)), "config_hash": config_hash(cfg)}
 
 
 def file_sha256(path) -> str:

@@ -296,6 +296,8 @@ def read_dataset(path) -> Dataset:
     if bad.size:
         raise DataFormatError(f"{path}: record {bad[0]} has label {labels[bad[0]]}, "
                               f"out of range for {num_classes} classes")
+    if not np.isfinite(table["pixels"]).all():
+        raise DataFormatError(f"{path}: non-finite pixel values")
     pixels = table["pixels"].astype(np.float64)
     records = [SampleRecord(label=label, pixels=pix, domain_id=domain_id)
                for label, pix in zip(labels.tolist(), pixels)]
@@ -311,14 +313,12 @@ class BenchmarkConfig:
     class_count: int = 6
     per_class_count: int = 200
     image_size: int = 16
-    channels: int = 3
     source_gains: tuple = ((1.0, 1.0, 1.0), (1.3, 0.8, 1.1), (0.7, 1.2, 0.9))
     source_biases: tuple = ((0.0, 0.0, 0.0), (0.2, -0.1, 0.05), (-0.2, 0.1, 0.15))
     source_noise_std: float = 0.05
     target_gain: tuple = (0.1, 1.0, 1.0)
     target_bias: tuple = (0.3, -0.2, 0.1)
     target_noise_std: float = 0.02
-    master_seed: int = 0
 
     def __post_init__(self):
         # images take their channel count from the gains, so they must agree
@@ -327,10 +327,14 @@ class BenchmarkConfig:
             raise ConfigError(f"every gain and bias needs {self.channels} channel values, "
                               f"got lengths {[len(s) for s in styles]}")
 
+    @property
+    def channels(self) -> int:
+        return len(self.target_gain)
 
-def benchmark_domains(cfg: BenchmarkConfig) -> tuple[list[DomainSpec], DomainSpec]:
+
+def benchmark_domains(cfg: BenchmarkConfig, seed: int) -> tuple[list[DomainSpec], DomainSpec]:
     """Instantiate the source DomainSpecs and the shifted target DomainSpec."""
-    data_seed = sub_seed(cfg.master_seed, "data")
+    data_seed = sub_seed(seed, "data")
     sources = []
     for i, (gain, bias) in enumerate(zip(cfg.source_gains, cfg.source_biases)):
         sources.append(DomainSpec(domain_id=i, gain=np.array(gain), bias=np.array(bias),
@@ -343,10 +347,11 @@ def benchmark_domains(cfg: BenchmarkConfig) -> tuple[list[DomainSpec], DomainSpe
     return sources, target
 
 
-def generate_benchmark(cfg: BenchmarkConfig) -> tuple[list[list[SampleRecord]], list[SampleRecord]]:
+def generate_benchmark(cfg: BenchmarkConfig,
+                       seed: int) -> tuple[list[list[SampleRecord]], list[SampleRecord]]:
     """Generate all source domains and the target domain of the benchmark."""
-    sources, target = benchmark_domains(cfg)
-    template_seed = sub_seed(sub_seed(cfg.master_seed, "data"), "templates")
+    sources, target = benchmark_domains(cfg, seed)
+    template_seed = sub_seed(sub_seed(seed, "data"), "templates")
     source_data = [gen_domain(cfg.class_count, cfg.per_class_count, spec, cfg.image_size,
                               template_seed) for spec in sources]
     target_data = gen_domain(cfg.class_count, cfg.per_class_count, target, cfg.image_size,
@@ -354,15 +359,15 @@ def generate_benchmark(cfg: BenchmarkConfig) -> tuple[list[list[SampleRecord]], 
     return source_data, target_data
 
 
-def manifest(cfg: BenchmarkConfig, files: dict[str, str]) -> dict:
+def manifest(cfg: BenchmarkConfig, seed: int, files: dict[str, str]) -> dict:
     """gen-data's manifest document: domains, counts, seeds, output files."""
-    sources, target = benchmark_domains(cfg)
+    sources, target = benchmark_domains(cfg, seed)
     return {
         "class_count": cfg.class_count,
         "per_class_count": cfg.per_class_count,
         "image_size": cfg.image_size,
         "channels": cfg.channels,
-        "master_seed": cfg.master_seed,
+        "master_seed": seed,
         "domains": [
             {"domain_id": s.domain_id, "role": "source", "gain": s.gain.tolist(),
              "bias": s.bias.tolist(), "noise_std": s.noise_std, "seed": s.seed}

@@ -15,7 +15,7 @@ import numpy as np
 from .data import SupportSet, records_as_arrays
 from .errors import ConfigError, NumericError
 from .fda import FdaConfig, make_plans, mixer
-from .model import Backbone, predict
+from .model import PARAM_GROUPS, Backbone, check_groups, predict
 from .optim import Adam
 from .tensor import softmax_cross_entropy
 
@@ -27,8 +27,7 @@ class FinetuneConfig:
     lr: float = 5e-5
     batch_size: int = 64
     fda: FdaConfig = field(default_factory=FdaConfig)
-    seed: int = 0
-    groups: tuple = ("conv", "norm_affine", "head")
+    groups: tuple = PARAM_GROUPS
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
@@ -38,13 +37,15 @@ class FinetuneConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_groups(self.groups)
 
 
-def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig):
+def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: int):
     """Fine-tune a copy of the model on the support set.
 
-    Returns (tuned_model, trace) where trace rows carry epoch, mean training
-    loss, and post-epoch support accuracy. The input model is not touched.
+    seed draws the mixing plans and any batch order. Returns (tuned_model,
+    trace) where trace rows carry epoch, mean training loss, and post-epoch
+    support accuracy. The input model is not touched.
     A non-finite loss aborts immediately rather than training on garbage.
     """
     tuned = model.copy()
@@ -55,7 +56,7 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig):
         return tuned, trace
 
     opt = Adam(tuned.trainable_params(cfg.groups), lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     full_batch = n <= cfg.batch_size
 
     for epoch in range(1, cfg.epochs + 1):

@@ -8,13 +8,12 @@ stay fixed, which is how the multi-seed evaluations and sweeps are run.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig, config_hash, override, seed_plan, serialize
+from .config import RunConfig, config_hash, describe, override, seed_plan
 from .data import SupportSet, generate_benchmark, records_as_arrays, split_support
 from .errors import ConfigError, DataError
 from .finetune import eval_accuracy, finetune
@@ -57,18 +56,16 @@ class Stage1Result:
 
 
 def prepare_benchmark(cfg: RunConfig) -> Bench:
-    """Generate the benchmark; the run's master seed overrides the data seed."""
-    data_cfg = replace(cfg.data, master_seed=cfg.master_seed)
-    source_data, target_data = generate_benchmark(data_cfg)
+    """Generate the benchmark from the run's data seed."""
+    source_data, target_data = generate_benchmark(cfg.data, seed_plan(cfg)["data"])
     return Bench(source_data=source_data, target_data=target_data,
-                 class_count=data_cfg.class_count)
+                 class_count=cfg.data.class_count)
 
 
 def build_source_model(cfg: RunConfig, bench: Bench):
-    """Train the pooled-source model under the master seed."""
-    src_cfg = replace(cfg.source, seed=cfg.master_seed)
-    return train_source(bench.source_data, src_cfg, widths=cfg.widths,
-                        num_classes=bench.class_count)
+    """Train the pooled-source model from the run's init seed."""
+    return train_source(bench.source_data, cfg.source, seed_plan(cfg)["init"],
+                        widths=cfg.widths, num_classes=bench.class_count)
 
 
 def make_trial(cfg: RunConfig, bench: Bench) -> TrialSetup:
@@ -91,8 +88,7 @@ def support_bank(model: Backbone, records, class_count: int, ema_beta: float):
 
 def run_stage1(cfg: RunConfig, trial: TrialSetup, source_model: Backbone) -> Stage1Result:
     """Fine-tune on the support set and seed the bank from its embeddings."""
-    ft_cfg = replace(cfg.finetune, seed=trial.seeds["fda"])
-    tuned, trace = finetune(source_model, trial.support, ft_cfg)
+    tuned, trace = finetune(source_model, trial.support, cfg.finetune, trial.seeds["fda"])
     bank = support_bank(tuned, trial.support.samples, trial.support.class_count, cfg.ema_beta)
     return Stage1Result(tuned=tuned, trace=trace, bank=bank)
 
@@ -171,8 +167,7 @@ def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict
 
     return {
         "schema": RUN_SCHEMA,
-        "config": json.loads(serialize(cfg)),
-        "config_hash": config_hash(cfg),
+        **describe(cfg),
         "seeds": trial.seeds,
         "num_classes": bench.class_count,
         "stream_batches": len(per_method[methods[0]]["curve"]),
@@ -255,8 +250,7 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
         "axis": axis,
         "values": values,
         "trial_seeds": list(trial_seeds),
-        "config": json.loads(serialize(cfg)),
-        "config_hash": config_hash(cfg),
+        **describe(cfg),
         "rows": rows,
     }
     if axis == "alpha" and alpha0_checks:

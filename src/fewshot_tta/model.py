@@ -23,7 +23,7 @@ from .errors import (
     TruncatedFileError,
 )
 from .optim import Adam
-from .seeding import rng_for, sub_seed
+from .seeding import sub_seed
 from .tensor import (
     Tensor,
     _normalize,
@@ -42,6 +42,13 @@ MODEL_MAGIC = b"TTAM"
 MODEL_VERSION = 1
 
 PARAM_GROUPS = ("conv", "norm_affine", "head")
+
+
+def check_groups(groups) -> None:
+    """Raise ConfigError unless every name in groups is one of PARAM_GROUPS."""
+    bad = set(groups) - set(PARAM_GROUPS)
+    if bad:
+        raise ConfigError(f"unknown parameter groups {sorted(bad)}; valid: {PARAM_GROUPS}")
 
 
 def param_shapes(widths, num_classes: int) -> dict[str, tuple]:
@@ -109,9 +116,7 @@ class Backbone:
         parameter, so a backward computes no gradient (and keeps no im2col
         matrix) for a parameter left out. ``copy`` unfreezes them again.
         """
-        bad = set(groups) - set(PARAM_GROUPS)
-        if bad:
-            raise ConfigError(f"unknown parameter groups {sorted(bad)}; valid: {PARAM_GROUPS}")
+        check_groups(groups)
         by_group = self.param_groups()
         names = [n for g in PARAM_GROUPS if g in groups for n in by_group[g]]
         for n, p in self.params.items():
@@ -198,17 +203,26 @@ class SourceConfig:
     iters: int = 2000
     lr: float = 1e-3
     batch_size: int = 32
-    seed: int = 0
     log_every: int = 100
 
+    def __post_init__(self):
+        if self.iters < 0:
+            raise ConfigError(f"iters must be >= 0, got {self.iters}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
-def train_source(source_data, cfg: SourceConfig,
+
+def train_source(source_data, cfg: SourceConfig, seed: int,
                  widths=(3, 16, 32, 32), num_classes: int = 6) -> tuple[Backbone, list]:
     """Train a fresh backbone on the pooled source domains.
 
     source_data is a list of per-domain record lists. Standard supervised
-    training: mean cross-entropy, Adam, seeded shuffled minibatches. Returns
-    the model and a training curve of (iteration, loss) pairs.
+    training: mean cross-entropy, Adam, shuffled minibatches, all seeded by
+    seed. Returns the model and a training curve of (iteration, loss) pairs.
     """
     records = [rec for domain in source_data for rec in domain]
     if not records:
@@ -218,9 +232,9 @@ def train_source(source_data, cfg: SourceConfig,
         raise DataError(f"label {y_all.max()} out of range for {num_classes} classes")
 
     model = Backbone(widths=widths, num_classes=num_classes,
-                     init_seed=sub_seed(cfg.seed, "init"))
+                     init_seed=sub_seed(seed, "init"))
     opt = Adam(model.trainable_params(), lr=cfg.lr)
-    rng = rng_for(cfg.seed, "source_batches")
+    rng = np.random.default_rng(sub_seed(seed, "source_batches"))
     n = len(records)
     curve = []
     order = rng.permutation(n)
@@ -263,7 +277,7 @@ def load_model(path) -> Backbone:
     """Rebuild a Backbone from a TTAM file, verifying structure byte counts.
 
     The file length is checked against the header's architecture before any
-    parameter is allocated.
+    parameter is allocated, and every parameter value must be finite.
     """
     raw, (_, _, n_widths, *widths, embed_dim, num_classes) = read_artifact(
         path, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION)
@@ -283,8 +297,10 @@ def load_model(path) -> Backbone:
     if end != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - end} trailing bytes after parameters")
     model = Backbone(widths=widths, num_classes=num_classes)
-    for p in model.params.values():
+    for name, p in model.params.items():
         blob = np.frombuffer(raw, dtype="<f8", count=p.data.size, offset=off)
+        if not np.isfinite(blob).all():
+            raise DataFormatError(f"{path}: parameter {name!r} has non-finite values")
         p.data = blob.reshape(p.data.shape).copy()
         off += p.data.nbytes
     return model

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import unit_rows
+from .tensor import softmax, unit_rows
 
 
 @dataclass
@@ -107,9 +107,5 @@ def proto_classify(bank: PrototypeBank, features, temperature: float = 1.0) -> n
         raise DataError(f"feature dim {f.shape[1]} != prototype dim {bank.prototypes.shape[1]}")
 
     sims = np.clip(unit_rows(f) @ unit_rows(bank.prototypes).T, -1.0, 1.0)
-
-    z = sims / temperature
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax(sims / temperature).data
     return probs[0] if single else probs

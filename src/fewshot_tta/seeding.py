@@ -2,8 +2,6 @@
 
 import hashlib
 
-import numpy as np
-
 
 def sub_seed(master_seed: int, name: str) -> int:
     """Derive a stable 63-bit sub-seed for a named component.
@@ -14,7 +12,3 @@ def sub_seed(master_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{master_seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
 
-
-def rng_for(master_seed: int, name: str) -> np.random.Generator:
-    """A fresh PCG64 generator for the named component of a run."""
-    return np.random.Generator(np.random.PCG64(sub_seed(master_seed, name)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import records_as_arrays
 from .errors import ConfigError, DataError
-from .model import Backbone
+from .model import PARAM_GROUPS, Backbone, check_groups
 from .optim import Adam
 from .prototypes import PrototypeBank, ema_update, proto_classify
 from .tensor import Tensor, log, mul, neg, softmax, softmax_entropy, take_rows, tsum
@@ -58,7 +58,7 @@ class AdaptConfig:
     alpha: float = 0.6
     batch_size: int = 64
     lr: float = 5e-5
-    groups: tuple = ("conv", "norm_affine", "head")
+    groups: tuple = PARAM_GROUPS
     predict_with: str = "head"
     tau: float = 1.0
 
@@ -68,6 +68,11 @@ class AdaptConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        check_groups(self.groups)
         if self.predict_with not in ("head", "proto"):
             raise ConfigError(f"predict_with must be head or proto, got {self.predict_with!r}")
 

@@ -11,8 +11,8 @@ import pytest
 
 from fewshot_tta import cli, data, harness
 from fewshot_tta.cli import build_parser, main
-from fewshot_tta.config import (RunConfig, config_hash, file_sha256, load_config, seed_plan,
-                                serialize)
+from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, load_config,
+                                seed_plan, serialize)
 from fewshot_tta.data import read_dataset, write_dataset, write_json
 from fewshot_tta.errors import ConfigError, DataError, NumericError, TruncatedFileError
 from fewshot_tta.model import load_model
@@ -56,12 +56,26 @@ class TestGenData:
         assert "config" in doc and "config_hash" in doc
         assert doc["hashes"]["stream"] == file_sha256(workspace / "data" / "stream.ttad")
 
+    def test_manifest_records_run_seed_and_channels(self, tmp_path, cfg_path):
+        assert main(["gen-data", "--config", cfg_path, "--seed", "4", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["master_seed"] == 4
+        assert doc["channels"] == 3
+
     def test_same_seed_twice_identical_files(self, tmp_path, cfg_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["gen-data", "--config", cfg_path, "--out", str(a)]) == 0
         assert main(["gen-data", "--config", cfg_path, "--out", str(b)]) == 0
         for name in ("source0.ttad", "target.ttad", "support.ttad", "stream.ttad"):
             assert file_sha256(a / name) == file_sha256(b / name), name
+
+
+def test_every_sidecar_embeds_describe(workspace, cfg_path):
+    want = describe(load_config(cfg_path))
+    for name in ("data/gen-data.sidecar.json", "source.ttam.sidecar.json",
+                 "tuned.ttam.sidecar.json"):
+        doc = json.loads((workspace / name).read_text())
+        assert want.items() <= doc.items(), name
 
 
 class TestTrainSource:
@@ -192,9 +206,8 @@ class TestAdapt:
             json.dumps(fields, sort_keys=True)
         sidecar = {k: v for k, v in doc.items() if k not in fields and k != "seconds"}
         assert sidecar == {
-            "config": json.loads(serialize(cfg)), "config_hash": config_hash(cfg),
-            "schema": harness.METRICS_SCHEMA, "comparison_hash": harness.comparison_hash(cfg),
-            "data_hash": file_sha256(stream_path), "num_classes": support.num_classes,
+            **describe(cfg), "schema": harness.METRICS_SCHEMA,
+            "comparison_hash": harness.comparison_hash(cfg), "data_hash": file_sha256(stream_path), "num_classes": support.num_classes,
         }
 
     def test_corrupt_model_is_data_error(self, workspace, cfg_path, tmp_path):
@@ -311,6 +324,14 @@ class TestExitCodes:
         rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_config_exits_one_before_any_stage(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"source": {"log_every": 0}}))
+        rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: log_every must be >= 1")
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Run configuration: serialization round trips, hashing, seed fan-out."""
 
 import hashlib
+import json
 
 import pytest
 
-from fewshot_tta.config import (RunConfig, config_hash, file_sha256, override, parse,
+from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, override, parse,
                                 seed_plan, serialize)
 from fewshot_tta.data import BenchmarkConfig
 from fewshot_tta.errors import ConfigError
@@ -100,6 +101,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             parse(text)
 
+    @pytest.mark.parametrize("text,match", [
+        ('{"source": {"iters": -1}}', "iters must be >= 0"),
+        ('{"source": {"lr": 0}}', "lr must be positive"),
+        ('{"source": {"batch_size": 0}}', "batch_size must be >= 1"),
+        ('{"source": {"log_every": 0}}', "log_every must be >= 1"),
+        ('{"adapt": {"lr": -1}}', "lr must be positive"),
+        ('{"adapt": {"tau": 0}}', "tau must be positive"),
+        ('{"adapt": {"groups": ["cnov"]}}', "unknown parameter groups"),
+        ('{"finetune": {"groups": ["head", "nrom_affine"]}}', "unknown parameter groups"),
+    ])
+    def test_out_of_range_value_is_config_error(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse(text)
+
+    @pytest.mark.parametrize("section,key", [
+        ("data", "master_seed"), ("data", "channels"), ("source", "seed"), ("finetune", "seed")])
+    def test_seed_and_channel_keys_are_unknown(self, section, key):
+        assert key not in json.loads(serialize(RunConfig()))[section]
+        with pytest.raises(ConfigError, match=f"unknown .* keys: \\['{key}'\\]"):
+            parse(json.dumps({section: {key: 0}}))
+
     def test_floats_take_ints_and_trial_seed_takes_null(self):
         cfg = parse('{"adapt": {"alpha": 1}, "ema_beta": 0, "trial_seed": null}')
         assert cfg.adapt.alpha == 1 and cfg.ema_beta == 0 and cfg.trial_seed is None
@@ -132,6 +154,14 @@ class TestSeedPlan:
         assert a["support"] != b["support"]
         assert a["fda"] != b["fda"]
         assert a["stream"] != b["stream"]
+
+
+class TestDescribe:
+    def test_config_document_and_hash(self):
+        cfg = _custom()
+        doc = describe(cfg)
+        assert doc == {"config": json.loads(serialize(cfg)), "config_hash": config_hash(cfg)}
+        assert parse(json.dumps(doc["config"])) == cfg
 
 
 class TestFileHash:

@@ -86,7 +86,6 @@ class TestGeneration:
                        noise_std=-0.1, seed=0)
 
     @pytest.mark.parametrize("over", [
-        {"channels": 1},
         {"target_gain": (0.1, 1.0)},
         {"source_biases": ((0.0, 0.0, 0.0), (0.2, -0.1), (-0.2, 0.1, 0.15))},
     ])
@@ -96,7 +95,7 @@ class TestGeneration:
 
     def test_benchmark_shapes_and_counts(self):
         cfg = BenchmarkConfig(per_class_count=5)
-        source_data, target_data = generate_benchmark(cfg)
+        source_data, target_data = generate_benchmark(cfg, 0)
         assert len(source_data) == 3
         assert len(target_data) == 6 * 5
         x, y = records_as_arrays(target_data)
@@ -220,6 +219,18 @@ class TestDatasetFile:
             blob[off: off + 2] = label.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match="record 1 has label 6, out of range for 6"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_is_format_error(self, tmp_path, value):
+        path = tmp_path / "n.ttad"
+        write_dataset(path, self.make_records(3), num_classes=4)
+        blob = bytearray(path.read_bytes())
+        # the sixth f32 pixel of the second record, after its u16 label
+        off = 32 + (2 + 4 * 3 * 4 * 4) + 2 + 4 * 5
+        blob[off: off + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="non-finite pixel"):
             read_dataset(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -56,7 +56,7 @@ class TestFinetuneConfig:
 class TestFinetune:
     def test_zero_epochs_is_identity(self, rng):
         model = _model(rng)
-        tuned, trace = finetune(model, _support(rng), FinetuneConfig(epochs=0))
+        tuned, trace = finetune(model, _support(rng), FinetuneConfig(epochs=0), 0)
         assert tuned.params_hash() == model.params_hash()
         assert tuned is not model
         assert trace == []
@@ -64,14 +64,14 @@ class TestFinetune:
     def test_input_model_untouched(self, rng):
         model = _model(rng)
         before = model.params_hash()
-        tuned, _ = finetune(model, _support(rng), FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA))
+        tuned, _ = finetune(model, _support(rng), FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA), 0)
         assert model.params_hash() == before
         assert tuned.params_hash() != before
 
     def test_one_epoch_full_batch_equals_manual_step(self, rng):
         model = _model(rng)
         support = _support(rng)
-        tuned, _ = finetune(model, support, FinetuneConfig(epochs=1, lr=1e-3, fda=NO_FDA))
+        tuned, _ = finetune(model, support, FinetuneConfig(epochs=1, lr=1e-3, fda=NO_FDA), 0)
 
         manual = model.copy()
         x = np.stack([s.pixels for s in support.samples])
@@ -110,7 +110,7 @@ class TestFinetune:
     def test_loss_falls_and_support_memorized(self, rng):
         model = _model(rng)
         support = _separable_support(rng)
-        tuned, trace = finetune(model, support, FinetuneConfig(epochs=60, lr=1e-2, fda=NO_FDA))
+        tuned, trace = finetune(model, support, FinetuneConfig(epochs=60, lr=1e-2, fda=NO_FDA), 0)
         assert trace[-1]["loss"] < trace[0]["loss"]
         assert trace[-1]["support_acc"] == 1.0
         assert eval_accuracy(tuned, support.samples) == 1.0
@@ -118,14 +118,14 @@ class TestFinetune:
     def test_moving_average_loss_non_increasing(self, rng):
         model = _model(rng)
         support = _separable_support(rng)
-        _, trace = finetune(model, support, FinetuneConfig(epochs=10, lr=1e-3, fda=NO_FDA))
+        _, trace = finetune(model, support, FinetuneConfig(epochs=10, lr=1e-3, fda=NO_FDA), 0)
         losses = [row["loss"] for row in trace]
         ma = [np.mean(losses[i - 4: i + 1]) for i in range(4, len(losses))]
         assert all(b <= a + 1e-9 for a, b in zip(ma, ma[1:]))
 
     def test_trace_rows_are_complete(self, rng):
         model = _model(rng)
-        _, trace = finetune(model, _support(rng), FinetuneConfig(epochs=3, lr=1e-3, fda=NO_FDA))
+        _, trace = finetune(model, _support(rng), FinetuneConfig(epochs=3, lr=1e-3, fda=NO_FDA), 0)
         assert [row["epoch"] for row in trace] == [1, 2, 3]
         for row in trace:
             assert np.isfinite(row["loss"])
@@ -134,24 +134,24 @@ class TestFinetune:
     def test_mixing_changes_training(self, rng):
         model = _model(rng)
         support = _support(rng)
-        plain, _ = finetune(model, support, FinetuneConfig(epochs=3, lr=1e-3, fda=NO_FDA, seed=0))
+        plain, _ = finetune(model, support, FinetuneConfig(epochs=3, lr=1e-3, fda=NO_FDA), 0)
         mixed, _ = finetune(model, support, FinetuneConfig(
-            epochs=3, lr=1e-3, fda=FdaConfig(p_apply=1.0), seed=0))
+            epochs=3, lr=1e-3, fda=FdaConfig(p_apply=1.0)), 0)
         assert plain.params_hash() != mixed.params_hash()
 
     def test_same_seed_same_result(self, rng):
         model = _model(rng)
         support = _support(rng)
-        cfg = FinetuneConfig(epochs=3, lr=1e-3, fda=FdaConfig(p_apply=1.0), seed=9)
-        a, _ = finetune(model, support, cfg)
+        cfg = FinetuneConfig(epochs=3, lr=1e-3, fda=FdaConfig(p_apply=1.0))
+        a, _ = finetune(model, support, cfg, 9)
         b, _ = finetune(model, support, FinetuneConfig(
-            epochs=3, lr=1e-3, fda=FdaConfig(p_apply=1.0), seed=9))
+            epochs=3, lr=1e-3, fda=FdaConfig(p_apply=1.0)), 9)
         assert a.params_hash() == b.params_hash()
 
     def test_group_freezing(self, rng):
         model = _model(rng)
         tuned, _ = finetune(model, _support(rng), FinetuneConfig(
-            epochs=2, lr=1e-2, fda=NO_FDA, groups=("head",)))
+            epochs=2, lr=1e-2, fda=NO_FDA, groups=("head",)), 0)
         for name, p in model.params.items():
             same = np.array_equal(p.data, tuned.params[name].data)
             assert same == (not name.startswith("head")), name
@@ -160,13 +160,13 @@ class TestFinetune:
         model = _model(rng)
         model.params["conv1.weight"].data[0, 0, 0, 0] = np.nan
         with pytest.raises(NumericError, match="diverged at epoch 1"):
-            finetune(model, _support(rng), FinetuneConfig(epochs=2, fda=NO_FDA))
+            finetune(model, _support(rng), FinetuneConfig(epochs=2, fda=NO_FDA), 0)
 
     def test_minibatch_path_covers_all_samples(self, rng):
         model = _model(rng)
         support = _support(rng, k=4)
         tuned, trace = finetune(model, support, FinetuneConfig(
-            epochs=2, lr=1e-3, batch_size=5, fda=NO_FDA))
+            epochs=2, lr=1e-3, batch_size=5, fda=NO_FDA), 0)
         assert len(trace) == 2
         assert tuned.params_hash() != model.params_hash()
 
@@ -200,7 +200,7 @@ class TestEvalAccuracy:
 class TestLossTraceCsv:
     def test_round_trip(self, tmp_path, rng):
         model = _model(rng)
-        _, trace = finetune(model, _support(rng), FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA))
+        _, trace = finetune(model, _support(rng), FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA), 0)
         path = tmp_path / "trace.csv"
         write_csv(path, ["epoch", "loss", "support_acc"], trace)
         with open(path, newline="") as fh:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fewshot_tta.config import RunConfig, config_hash
+from fewshot_tta.config import RunConfig, describe
 from fewshot_tta.data import BenchmarkConfig
 from fewshot_tta.errors import ConfigError, DataError
 from fewshot_tta.fda import FdaConfig
@@ -111,7 +111,7 @@ class TestRunAll:
         cfg, _, model = pipeline
         report = run_all(cfg, methods=["source_only", "fs_tta"], source_model=model)
         assert report["schema"] == "fewshot-tta-run/1"
-        assert report["config_hash"] == config_hash(cfg)
+        assert describe(cfg).items() <= report.items()
         assert set(report["methods"]) == {"source_only", "fs_tta"}
         assert 0.0 <= report["source_accuracy"] <= 1.0
         assert 0.0 <= report["stage1_accuracy"] <= 1.0
@@ -144,6 +144,7 @@ class TestSweeps:
             assert len(row["per_trial"]) == 2
             assert 0.0 <= row["mean_accuracy"] <= 1.0
         assert doc["alpha0_matches_stage1"] is True
+        assert describe(cfg).items() <= doc.items()
 
     def test_kshot_sweep(self, pipeline):
         cfg, bench, model = pipeline

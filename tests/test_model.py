@@ -215,8 +215,8 @@ class TestTrainSource:
 
     def test_separable_toy_reaches_high_accuracy(self):
         domains = self.make_toy_domains()
-        cfg = SourceConfig(iters=150, lr=3e-3, batch_size=16, seed=0)
-        model, curve = train_source(domains, cfg, widths=(3, 4, 8, 8), num_classes=2)
+        cfg = SourceConfig(iters=150, lr=3e-3, batch_size=16)
+        model, curve = train_source(domains, cfg, 0, widths=(3, 4, 8, 8), num_classes=2)
         x = np.stack([r.pixels for r in domains[0]])
         y = np.array([r.label for r in domains[0]])
         acc = float(np.mean(predict(model, x) == y))
@@ -225,14 +225,14 @@ class TestTrainSource:
 
     def test_training_deterministic(self):
         domains = self.make_toy_domains()
-        cfg = SourceConfig(iters=30, lr=1e-3, batch_size=16, seed=9)
-        m1, _ = train_source(domains, cfg, widths=(3, 4, 4, 4), num_classes=2)
-        m2, _ = train_source(domains, cfg, widths=(3, 4, 4, 4), num_classes=2)
+        cfg = SourceConfig(iters=30, lr=1e-3, batch_size=16)
+        m1, _ = train_source(domains, cfg, 9, widths=(3, 4, 4, 4), num_classes=2)
+        m2, _ = train_source(domains, cfg, 9, widths=(3, 4, 4, 4), num_classes=2)
         assert m1.params_hash() == m2.params_hash()
 
     def test_no_records_rejected(self):
         with pytest.raises(DataError):
-            train_source([[]], SourceConfig(iters=1))
+            train_source([[]], SourceConfig(iters=1), 0)
 
 
 class TestModelFile:
@@ -279,6 +279,14 @@ class TestModelFile:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_non_finite_parameter_is_format_error(self, small_model, tmp_path):
+        model = small_model.copy()
+        model.params["conv1.weight"].data[0, 0, 0, 0] = np.nan
+        path = tmp_path / "n.ttam"
+        save_model(path, model)
+        with pytest.raises(DataFormatError, match="'conv1.weight' has non-finite"):
+            load_model(path)
 
     def test_truncated_names_parameter(self, small_model, tmp_path):
         path = tmp_path / "t.ttam"

@@ -430,7 +430,7 @@ class TestTentBatch:
                                                    domain_id=0) for c in (0, 1, 2, 3) * 2],
                              k=2, class_count=4)
         tuned, _ = finetune(dup, support, FinetuneConfig(epochs=1, lr=1e-2,
-                                                         fda=FdaConfig(enabled=False)))
+                                                         fda=FdaConfig(enabled=False)), 0)
         for name, p in tuned.params.items():
             assert p.requires_grad, name
             assert not np.array_equal(p.data, dup.params[name].data), name

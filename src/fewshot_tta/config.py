@@ -47,6 +47,10 @@ class RunConfig:
             raise ConfigError(f"ema_beta must be in [0, 1], got {self.ema_beta}")
         if self.stream_order not in ("shuffled", "sorted"):
             raise ConfigError(f"stream_order must be shuffled or sorted, got {self.stream_order!r}")
+        # the first width is the network's input channel count, which the data sets
+        if self.widths[:1] != (self.data.channels,):
+            raise ConfigError(f"widths[0] must equal the data's channel count "
+                              f"{self.data.channels}, got widths {self.widths}")
 
     @property
     def effective_trial_seed(self) -> int:

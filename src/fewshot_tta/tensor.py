@@ -3,7 +3,10 @@
 Values are stored as C-contiguous float64 numpy arrays. Each differentiable
 operation records its parents and a backward closure; ``Tensor.backward()``
 walks the graph in reverse topological order and accumulates gradients into
-``.grad`` buffers of tensors that require them.
+``.grad`` buffers of tensors that require them. Backward frees the graph as it
+goes: once a non-leaf node's closure has run, its gradient, closure and
+parents are dropped, so only leaves keep ``.grad`` and a graph supports one
+backward.
 
 Scope is deliberately small: exactly the operations the adaptation pipeline
 needs, each one checked against central finite differences in the test suite.
@@ -87,7 +90,13 @@ class Tensor:
     # -- graph -----------------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None):
-        """Accumulate dself/dleaf into every reachable leaf's ``.grad``."""
+        """Accumulate dself/dleaf into every reachable leaf's ``.grad``.
+
+        Each non-leaf node is freed as soon as its own closure has run: its
+        ``.grad``, closure and parents are dropped (with them the activations
+        and saved temporaries the closure held), so only leaves keep ``.grad``.
+        A second backward through a freed node raises ``RuntimeError``.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar output")
@@ -99,13 +108,19 @@ class Tensor:
 
         order = _toposort(self)
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(order):
-            if node._backward_fn is None or node.grad is None:
+        while order:
+            # popping keeps the list from holding a freed node alive
+            node = order.pop()
+            if node._backward_fn is None:
                 continue
-            for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+            if node.grad is not None:
+                for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = None
+            node._backward_fn = _freed_backward
+            node._parents = ()
 
     # -- operator sugar --------------------------------------------------
 
@@ -151,6 +166,11 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _freed_backward(grad):
+    """Stands in for the closure of a node that a backward has freed."""
+    raise RuntimeError("backward through a graph that a previous backward already freed")
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -334,6 +334,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: log_every must be >= 1")
         assert not (tmp_path / "out").exists()
 
+    def test_width_channel_mismatch_exits_one_before_any_data(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"widths": [1, 4, 8, 8]}))
+        rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: widths[0] must equal the data's channel count 3")
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b'{"method": "\xa0"}')

@@ -78,6 +78,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="stream_order"):
             RunConfig(stream_order="interleaved")
 
+    @pytest.mark.parametrize("widths", [(1, 4, 8, 8), (4, 16, 32, 32), ()])
+    def test_first_width_must_match_data_channels(self, widths):
+        with pytest.raises(ConfigError, match=r"widths\[0\] must equal the data's channel count 3"):
+            RunConfig(widths=widths)
+        with pytest.raises(ConfigError, match=r"widths\[0\]"):
+            parse(json.dumps({"widths": list(widths)}))
+
     @pytest.mark.parametrize("text,match", [
         ('{"widths": 5}', "RunConfig"),
         ('{"adapt": 5}', "'adapt' must be an object"),

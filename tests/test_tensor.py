@@ -1,6 +1,7 @@
 """Numeric core: forward values against oracles, gradients against finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from fewshot_tta import (
     take_rows,
 )
 from fewshot_tta.errors import DegenerateSimilarityWarning
-from fewshot_tta.tensor import _normalize, sample_chunks, unit_rows
+from fewshot_tta.model import Backbone
+from fewshot_tta.tensor import _freed_backward, _normalize, _toposort, sample_chunks, unit_rows
 
 import oracles
 
@@ -73,6 +75,75 @@ class TestBasics:
         loss.backward()
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(x.grad))
+
+
+class TestGraphRelease:
+    """Backward frees each non-leaf node once its own closure has run."""
+
+    def test_diamond_node_gets_every_child_contribution(self, rng):
+        x = Tensor(rng.normal(size=5), requires_grad=True)
+        y = x * x
+        z = y + y * 3.0
+        z.sum().backward()
+        assert np.array_equal(x.grad, 8.0 * x.data)
+
+    def test_two_graphs_without_zero_grad_sum_into_the_leaf(self, rng):
+        x = Tensor(rng.normal(size=4), requires_grad=True)
+        (x * x).sum().backward()
+        (x * 3.0).sum().backward()
+        assert np.array_equal(x.grad, 2.0 * x.data + 3.0)
+
+    def test_non_leaf_nodes_are_freed_and_leaves_keep_grad(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 3, 3)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        loss = instance_norm(relu(conv2d(x, w)), gamma, beta).mean()
+        nodes = _toposort(loss)
+        leaves = [n for n in nodes if n._backward_fn is None]
+        inner = [n for n in nodes if n._backward_fn is not None]
+        assert len(leaves) == 4 and len(inner) >= 4
+        loss.backward()
+        assert all(n.grad is not None for n in leaves)
+        for node in inner:
+            assert node.grad is None
+            assert node._backward_fn is _freed_backward
+            assert node._parents == ()
+
+    def test_second_backward_through_a_freed_graph_raises(self, rng):
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        loss = softmax_cross_entropy(matmul(Tensor(rng.normal(size=(2, 3))), w), [0, 3])
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+
+    def test_backward_from_a_freed_inner_node_raises(self, rng):
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        logits = matmul(Tensor(rng.normal(size=(2, 3))), w)
+        softmax_cross_entropy(logits, [0, 3]).backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            logits.backward(np.ones(logits.shape))
+
+    def test_source_step_leaves_no_graph_memory_behind(self, rng):
+        """One default-shape source step (batch 32): after backward only the
+        parameter gradients and the outputs stay alive (a graph kept whole
+        holds ~64 MiB here), and the step's traced peak is at most 60 MiB
+        (~69 MiB when the non-leaf gradients pile up next to the graph)."""
+        model = Backbone()
+        x, y = rng.normal(size=(32, 3, 16, 16)), rng.integers(0, 6, size=32)
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, logits = model.forward(x, mode="train")
+            loss = softmax_cross_entropy(logits, y)
+            loss.backward()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in model.params.values())
+        assert (after - before) / mib <= 1.0
+        assert (peak - before) / mib <= 60.0
 
 
 class TestSoftmax:

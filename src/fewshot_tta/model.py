@@ -227,9 +227,12 @@ def train_source(source_data, cfg: SourceConfig, seed: int,
     records = [rec for domain in source_data for rec in domain]
     if not records:
         raise DataError("no source records")
-    x_all, y_all = records_as_arrays(records)
-    if y_all.max() >= num_classes:
-        raise DataError(f"label {y_all.max()} out of range for {num_classes} classes")
+    shapes = {np.shape(rec.pixels) for rec in records}
+    if len(shapes) > 1:
+        raise DataError(f"source records disagree on pixel shape: {sorted(shapes)}")
+    top = max(rec.label for rec in records)
+    if top >= num_classes:
+        raise DataError(f"label {top} out of range for {num_classes} classes")
 
     model = Backbone(widths=widths, num_classes=num_classes,
                      init_seed=sub_seed(seed, "init"))
@@ -246,8 +249,11 @@ def train_source(source_data, cfg: SourceConfig, seed: int,
         idx = order[cursor: cursor + cfg.batch_size]
         cursor += cfg.batch_size
         opt.zero_grad()
-        _, logits = model.forward(x_all[idx], mode="train")
-        loss = softmax_cross_entropy(logits, y_all[idx])
+        # gathered per batch: a stacked copy of every source image would stay
+        # alive for the whole run
+        x, y = records_as_arrays([records[i] for i in idx])
+        _, logits = model.forward(x, mode="train")
+        loss = softmax_cross_entropy(logits, y)
         loss_val = loss.item()
         if not np.isfinite(loss_val):
             raise NumericError(f"source training diverged at iteration {it}: loss={loss_val}")

@@ -301,12 +301,12 @@ def make_stream(records, batch_size: int, seed: int, order: str = "shuffled") ->
         raise ConfigError(f"order must be shuffled or sorted, got {order!r}")
     if not records:
         raise DataError("empty stream")
-    x, y = records_as_arrays(records)
     if order == "shuffled":
         perm = np.random.default_rng(seed).permutation(len(records))
     else:
-        perm = np.argsort(y, kind="stable")
-    x, y = x[perm], y[perm]
+        perm = np.argsort([rec.label for rec in records], kind="stable")
+    # one stack, already in stream order
+    x, y = records_as_arrays([records[i] for i in perm])
     return [StreamBatch(inputs=x[i: i + batch_size], hidden_labels=y[i: i + batch_size])
             for i in range(0, len(records), batch_size)]
 

@@ -1,12 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Values are stored as C-contiguous float64 numpy arrays. Each differentiable
-operation records its parents and a backward closure; ``Tensor.backward()``
-walks the graph in reverse topological order and accumulates gradients into
-``.grad`` buffers of tensors that require them. Backward frees the graph as it
-goes: once a non-leaf node's closure has run, its gradient, closure and
-parents are dropped, so only leaves keep ``.grad`` and a graph supports one
-backward.
+Values are stored as C-contiguous float64 numpy arrays. The graph holds
+nodes, not values: each differentiable operation gives its result a small
+``_Node`` with the parents' nodes (a leaf tensor is its own node) and a
+backward closure, and each closure keeps only what its backward reads (shapes,
+flags, a relu mask, the operand arrays it multiplies by). So an intermediate
+value lives only as long as its caller, or a closure that reads it, holds it.
+``Tensor.backward()`` walks the nodes in reverse topological order and
+accumulates gradients into the ``.grad`` buffers of leaves that require them.
+Backward frees the graph as it goes: once a node's closure has run, its
+gradient, closure and parents are dropped, so only leaves keep ``.grad`` and a
+graph supports one backward.
 
 Scope is deliberately small: exactly the operations the adaptation pipeline
 needs, each one checked against central finite differences in the test suite.
@@ -36,18 +40,47 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """A dense n-dimensional float64 value with optional gradient tracking."""
+class _Node:
+    """The graph state of one operation's result: its parents' nodes (None for
+    a parent that needs no gradient), its backward closure and, while a
+    backward runs, its incoming gradient. It holds no value."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("_parents", "_backward_fn", "grad")
+    requires_grad = True  # a node exists only where some parent needs a gradient
+
+    def __init__(self, parents: tuple, backward_fn):
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.grad: np.ndarray | None = None
+
+
+class Tensor:
+    """A dense n-dimensional float64 value with optional gradient tracking.
+
+    A leaf (``_node`` is None) is its own graph node and keeps ``.grad``; an
+    operation's result that needs a gradient points at its ``_Node``.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         # order="C" keeps 0-d scalars 0-d; ascontiguousarray would promote them to (1,)
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node._backward_fn = fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,8 +109,7 @@ class Tensor:
         t.data = self.data
         t.grad = None
         t.requires_grad = False
-        t._parents = ()
-        t._backward_fn = None
+        t._node = None
         return t
 
     def zero_grad(self):
@@ -92,10 +124,12 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None):
         """Accumulate dself/dleaf into every reachable leaf's ``.grad``.
 
-        Each non-leaf node is freed as soon as its own closure has run: its
-        ``.grad``, closure and parents are dropped (with them the activations
-        and saved temporaries the closure held), so only leaves keep ``.grad``.
-        A second backward through a freed node raises ``RuntimeError``.
+        The walk runs over graph nodes, which hold no values; each closure
+        keeps only the arrays its own backward reads. Each non-leaf node is
+        freed as soon as its closure has run: its gradient, closure and
+        parents are dropped (with them the saved arrays the closure held), so
+        only leaves keep ``.grad``. A second backward through a freed node
+        raises ``RuntimeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -107,7 +141,8 @@ class Tensor:
                 raise ValueError(f"gradient shape {grad.shape} does not match tensor shape {self.shape}")
 
         order = _toposort(self)
-        self.grad = grad if self.grad is None else self.grad + grad
+        root = order[-1]
+        root.grad = grad if root.grad is None else root.grad + grad
         while order:
             # popping keeps the list from holding a freed node alive
             node = order.pop()
@@ -115,7 +150,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-                    if g is None or not parent.requires_grad:
+                    if g is None or parent is None or not parent.requires_grad:
                         continue
                     parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = None
@@ -173,10 +208,16 @@ def _freed_backward(grad):
     raise RuntimeError("backward through a graph that a previous backward already freed")
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _graph_node(t: Tensor):
+    """The graph node of ``t``: its ``_Node``, or ``t`` itself for a leaf."""
+    return t if t._node is None else t._node
+
+
+def _toposort(root: Tensor) -> list:
+    """The graph nodes reachable from ``root``, parents before children; root's node is last."""
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(_graph_node(root), False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -187,7 +228,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            stack.append((parent, False))
+            if parent is not None:
+                stack.append((parent, False))
     return order
 
 
@@ -195,8 +237,8 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
+        out._node = _Node(tuple(_graph_node(p) if p.requires_grad else None for p in parents),
+                          backward_fn)
     return out
 
 
@@ -219,9 +261,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _result(out, (a, b), backward)
 
@@ -229,30 +272,33 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _result(out, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
     return _result(out, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
+    a_data, b_data = a.data, b.data
+    out = a_data / b_data
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b_data, a_data.shape)
+        gb = _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)
         return ga, gb
 
     return _result(out, (a, b), backward)
@@ -288,20 +334,21 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
+    a_data = as_tensor(a).data
 
     def backward(g):
-        return (g / a.data,)
+        return (g / a_data,)
 
-    return _result(np.log(a.data), (a,), backward)
+    return _result(np.log(a_data), (a,), backward)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
+    mask = a.data > 0.0
 
     def backward(g):
-        return (g * (a.data > 0.0),)
+        return (g * mask,)
 
     return _result(out, (a,), backward)
 
@@ -325,13 +372,14 @@ def reshape(a, *shape) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _result(out, (a,), backward)
 
@@ -339,16 +387,17 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
+    shape = a.shape
     count = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+        [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
+            return (np.broadcast_to(g / count, shape).copy(),)
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
+        return (np.broadcast_to(g / count, shape).copy(),)
 
     return _result(out, (a,), backward)
 
@@ -362,9 +411,10 @@ def take_rows(a, indices) -> Tensor:
     if a.data.shape[0] == 0 and idx.size > 0:
         raise ValueError("take_rows on an empty tensor")
     out = a.data[idx]
+    shape = a.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.add.at(ga, idx, g)
         return (ga,)
 
@@ -377,10 +427,11 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    a_data, b_data = a.data, b.data
+    out = a_data @ b_data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b_data.T, a_data.T @ g
 
     return _result(out, (a, b), backward)
 
@@ -461,7 +512,8 @@ def conv2d(x, weight) -> Tensor:
     if k % 2 != 1:
         raise ValueError(f"conv2d kernel size must be odd to preserve H and W, got {k}")
 
-    kmat = weight.data.reshape(o, c * k * k)
+    w_data, x_grad = weight.data, x.requires_grad
+    kmat = w_data.reshape(o, c * k * k)
     cols = None
     if _grad_enabled and weight.requires_grad:
         cols = _im2col(x.data, k)
@@ -474,9 +526,9 @@ def conv2d(x, weight) -> Tensor:
         if cols is not None:
             g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * h * w)
             gw = (g_mat @ cols.T).reshape(o, c, k, k)
-        if not x.requires_grad:
+        if not x_grad:
             return None, gw
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        flipped = w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
         return _conv_chunked(g, flipped, k), gw
 
     return _result(out, (x, weight), backward)
@@ -513,9 +565,10 @@ def cross_entropy(probs, label: int) -> Tensor:
         raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
     p = max(float(probs.data[label]), 1e-300)
     out = np.float64(-np.log(p))
+    shape = probs.shape
 
     def backward(g):
-        gp = np.zeros_like(probs.data)
+        gp = np.zeros(shape)
         gp[label] = -float(g) / p
         return (gp,)
 
@@ -644,11 +697,12 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], ep
     xhat = np.divide(centered, std, out=centered)
     np.multiply(g4, xhat, out=out)
     out += b4
+    x_grad = x.requires_grad
 
     def backward(g):
         g_xhat = g * xhat
         ggamma, gbeta = g_xhat.sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
-        if not x.requires_grad:
+        if not x_grad:
             return None, ggamma, gbeta
         gx = np.multiply(xhat, g_xhat.mean(axis=axes, keepdims=True), out=g_xhat)
         np.subtract(g, gx, out=gx)

@@ -13,7 +13,7 @@ from fewshot_tta import cli, data, harness
 from fewshot_tta.cli import build_parser, main
 from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, load_config,
                                 seed_plan, serialize)
-from fewshot_tta.data import read_dataset, write_dataset, write_json
+from fewshot_tta.data import SampleRecord, read_dataset, write_dataset, write_json
 from fewshot_tta.errors import ConfigError, DataError, NumericError, TruncatedFileError
 from fewshot_tta.model import load_model
 from fewshot_tta.stream import resolve_method
@@ -89,6 +89,17 @@ class TestTrainSource:
         rc = main(["train-source", "--config", cfg_path,
                    "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "m.ttam")])
         assert rc == 2
+
+    def test_mixed_image_sizes_is_data_error(self, tmp_path, cfg_path, rng, capsys):
+        for i, size in enumerate((16, 8)):
+            recs = [SampleRecord(label=c, pixels=rng.normal(size=(3, size, size)), domain_id=i)
+                    for c in (0, 1, 2)]
+            write_dataset(tmp_path / f"source{i}.ttad", recs, num_classes=3)
+        out = tmp_path / "m.ttam"
+        rc = main(["train-source", "--config", cfg_path, "--data", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        assert "pixel shape" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFinetune:

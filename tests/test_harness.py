@@ -1,6 +1,10 @@
 """Orchestration layer: trials, staged runs, sweeps, comparison reports."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,29 @@ class TestRunAll:
         b = run_all(cfg, methods=["fs_tta"], source_model=model)
         assert a["methods"]["fs_tta"]["final_accuracy"] == b["methods"]["fs_tta"]["final_accuracy"]
         assert a["methods"]["fs_tta"]["curve"] == b["methods"]["fs_tta"]["curve"]
+
+    def test_blas_thread_count_does_not_change_a_run(self):
+        """The run document of every method on the acceptance suite's small
+        config is byte-identical at 1 BLAS thread and at the default count."""
+        tests = Path(__file__).resolve().parent
+        script = ("import json\n"
+                  "from fewshot_tta.harness import run_all\n"
+                  "from fewshot_tta.stream import BASELINE_KINDS\n"
+                  "from test_acceptance import _small_cfg, _strip_timings\n"
+                  "print(json.dumps(_strip_timings(run_all(_small_cfg(), BASELINE_KINDS)),"
+                  " sort_keys=True))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        docs = []
+        for threads in ("1", None):
+            child_env = dict(env, OPENBLAS_NUM_THREADS=threads) if threads else env
+            proc = subprocess.run([sys.executable, "-c", script], env=child_env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            docs.append(proc.stdout)
+        assert '"fs_tta"' in docs[0]
+        assert docs[0] == docs[1]
 
     def test_source_only_run_skips_stage1(self, pipeline):
         cfg, _, model = pipeline

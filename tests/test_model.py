@@ -234,6 +234,31 @@ class TestTrainSource:
         with pytest.raises(DataError):
             train_source([[]], SourceConfig(iters=1), 0)
 
+    def test_mixed_pixel_shapes_rejected_before_any_step(self):
+        domains = self.make_toy_domains()
+        spec_b = DomainSpec(domain_id=1, gain=np.ones(3), bias=np.zeros(3),
+                            noise_std=0.05, seed=2)
+        domains.append(gen_domain(2, 3, spec_b, 4, template_seed=4))
+        with pytest.raises(DataError, match="pixel shape"):
+            train_source(domains, SourceConfig(iters=0), 0, widths=(3, 4, 4, 4), num_classes=2)
+
+    def test_holds_no_stacked_copy_of_the_source_images(self):
+        """Two steps of batch 4 at widths 3-4-4-4 need far less memory than
+        the 1,200 source images (7.4 MB), so training must not stack them all."""
+        spec = DomainSpec(domain_id=0, gain=np.ones(3), bias=np.zeros(3), noise_std=0.05, seed=1)
+        domains = [gen_domain(3, 400, spec, 16, template_seed=4)]
+        nbytes = sum(rec.pixels.nbytes for rec in domains[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_source(domains, SourceConfig(iters=2, batch_size=4), 0,
+                         widths=(3, 4, 4, 4), num_classes=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < nbytes / 3
+
 
 class TestModelFile:
     def test_round_trip_forward_identical(self, small_model, tmp_path, rng):

@@ -1,11 +1,13 @@
 """Online adaptation loop: filtering, pseudo-labels, masked loss, baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from fewshot_tta import tensor
-from fewshot_tta.data import SampleRecord, SupportSet
+from fewshot_tta.data import SampleRecord, SupportSet, records_as_arrays
 from fewshot_tta.errors import ConfigError, DataError
 from fewshot_tta.fda import FdaConfig
 from fewshot_tta.finetune import FinetuneConfig, finetune
@@ -461,6 +463,33 @@ class TestMakeStream:
         stream = make_stream(recs, batch_size=6, seed=0, order="sorted")
         labels = np.concatenate([b.hidden_labels for b in stream])
         assert labels.tolist() == sorted(labels.tolist())
+
+    @pytest.mark.parametrize("order", ["shuffled", "sorted"])
+    def test_batches_match_stack_then_permute(self, rng, order):
+        recs = _records(rng, 23)
+        x, y = records_as_arrays(recs)
+        perm = (np.random.default_rng(4).permutation(len(recs)) if order == "shuffled"
+                else np.argsort(y, kind="stable"))
+        x, y = x[perm], y[perm]
+        stream = make_stream(recs, batch_size=5, seed=4, order=order)
+        assert len(stream) == 5
+        for i, batch in enumerate(stream):
+            assert batch.inputs.dtype == x.dtype and batch.hidden_labels.dtype == y.dtype
+            assert np.array_equal(batch.inputs, x[5 * i: 5 * i + 5])
+            assert np.array_equal(batch.hidden_labels, y[5 * i: 5 * i + 5])
+
+    def test_stacks_the_inputs_once(self, rng):
+        recs = _records(rng, 200, size=16)
+        nbytes = sum(rec.pixels.nbytes for rec in recs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            make_stream(recs, batch_size=64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.5 * nbytes
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):

@@ -43,6 +43,10 @@ class RunConfig:
         self.method = resolve_method(self.method)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        # the k support samples per class leave the rest of the class to the stream
+        if self.k >= self.data.per_class_count:
+            raise ConfigError(f"k must be less than data.per_class_count "
+                              f"{self.data.per_class_count}, got {self.k}")
         if not 0.0 <= self.ema_beta <= 1.0:
             raise ConfigError(f"ema_beta must be in [0, 1], got {self.ema_beta}")
         if self.stream_order not in ("shuffled", "sorted"):

@@ -203,8 +203,12 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
     if axis not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_DEFAULTS)}")
     values = list(values) if values is not None else list(SWEEP_DEFAULTS[axis])
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    trial_seeds = list(trial_seeds)
+    if not values or not trial_seeds:
+        raise ConfigError("sweep needs at least one value and one trial seed")
+    # every run's config, so a bad value fails before any data or training
+    grid = [[override(replace(cfg, trial_seed=seed), SWEEP_FIELDS[axis], value)
+             for seed in trial_seeds] for value in values]
 
     bench = bench or prepare_benchmark(cfg)
     if source_model is None:
@@ -222,12 +226,11 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
 
     rows = []
     alpha0_checks = []
-    for value in values:
+    for value, run_cfgs in zip(values, grid):
         accs = []
         secs = []
         samples = 0
-        for seed in trial_seeds:
-            run_cfg = override(replace(cfg, trial_seed=seed), SWEEP_FIELDS[axis], value)
+        for run_cfg in run_cfgs:
             trial, stage1 = trial_and_stage1(run_cfg)
             result = run_method(run_cfg, trial, source_model, "fs_tta", stage1)
             accs.append(result["final_accuracy"])
@@ -249,7 +252,7 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
         "schema": SWEEP_SCHEMA,
         "axis": axis,
         "values": values,
-        "trial_seeds": list(trial_seeds),
+        "trial_seeds": trial_seeds,
         **describe(cfg),
         "rows": rows,
     }

@@ -60,7 +60,6 @@ class AdaptConfig:
     lr: float = 5e-5
     groups: tuple = PARAM_GROUPS
     predict_with: str = "head"
-    tau: float = 1.0
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
@@ -70,8 +69,6 @@ class AdaptConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
         check_groups(self.groups)
         if self.predict_with not in ("head", "proto"):
             raise ConfigError(f"predict_with must be head or proto, got {self.predict_with!r}")
@@ -241,14 +238,14 @@ def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
         emb, logits = state.model.infer(x)
     probs = softmax(logits).data
     if state.cfg.predict_with == "proto":
-        preds = np.argmax(proto_classify(state.bank, emb, state.cfg.tau), axis=1)
+        preds = np.argmax(proto_classify(state.bank, emb), axis=1)
     else:
         preds = np.argmax(logits, axis=1)
 
     sel = entropy_filter(probs, state.cfg.alpha)
     pseudo = pseudo_label(logits[sel])
     ema_update(state.bank, emb[sel], pseudo)
-    proto_probs = proto_classify(state.bank, emb[sel], state.cfg.tau)
+    proto_probs = proto_classify(state.bank, emb[sel])
     masks = consistency_mask(probs[sel], proto_probs)
 
     keep = np.flatnonzero(masks)

@@ -575,11 +575,10 @@ def cross_entropy(probs, label: int) -> Tensor:
     return _result(out, (probs,), backward)
 
 
-def softmax_cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
-    """Fused softmax + cross-entropy from logits, for a batch of labels.
+def softmax_cross_entropy(logits, labels) -> Tensor:
+    """Fused softmax + cross-entropy from logits: the mean loss over a batch.
 
-    ``logits`` is N x C, ``labels`` length N. ``reduction`` is "mean" or
-    "none" (per-sample loss vector).
+    ``logits`` is N x C, ``labels`` length N.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
@@ -597,21 +596,12 @@ def softmax_cross_entropy(logits, labels, reduction: str = "mean") -> Tensor:
     losses = lse - z[np.arange(n), y]
     probs = np.exp(z - lse[:, None])
 
-    if reduction == "mean":
-        out = losses.mean()
-    elif reduction == "none":
-        out = losses
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
     def backward(g):
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
-        if reduction == "mean":
-            return (delta * (float(g) / n),)
-        return (delta * np.asarray(g)[:, None],)
+        return (delta * (float(g) / n),)
 
-    return _result(out, (logits,), backward)
+    return _result(losses.mean(), (logits,), backward)
 
 
 def softmax_entropy(logits) -> Tensor:

@@ -67,13 +67,13 @@ def adapt_batch_full_graph(model, bank, cfg, x):
     emb, logits = model.forward(x, mode="eval")
     probs = softmax(logits)
     if cfg.predict_with == "proto":
-        preds = np.argmax(proto_classify(bank, emb.data, cfg.tau), axis=1)
+        preds = np.argmax(proto_classify(bank, emb.data), axis=1)
     else:
         preds = np.argmax(logits.data, axis=1)
     sel = entropy_filter(probs.data, cfg.alpha)
     pseudo = pseudo_label(logits.data[sel])
     ema_update(bank, emb.data[sel], pseudo)
-    masks = consistency_mask(probs.data[sel], proto_classify(bank, emb.data[sel], cfg.tau))
+    masks = consistency_mask(probs.data[sel], proto_classify(bank, emb.data[sel]))
     loss = online_loss(take_rows(probs, sel), pseudo, masks)
     if loss is not None:
         loss.backward()

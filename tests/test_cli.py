@@ -1,6 +1,7 @@
 """Command-line workflows: artifacts, sidecars, exit codes, determinism."""
 
 import contextlib
+import inspect
 import json
 import os
 import shlex
@@ -288,6 +289,22 @@ class TestSweepCommand:
         assert doc["alpha0_matches_stage1"] is True
         assert "alpha" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--axis", "alpha", "--trials", "0"], "at least one value and one trial seed"),
+        (["--axis", "alpha", "--trials", "-2"], "at least one value and one trial seed"),
+        (["--axis", "alpha", "--values", "0.3,1.5"], "alpha must be in [0, 1], got 1.5"),
+        (["--axis", "kshot", "--values", "1,12"], "k must be less than data.per_class_count 12"),
+    ])
+    def test_bad_grid_exits_one_before_any_data(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                                extra, message):
+        called = []
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda *a: called.append("data"))
+        monkeypatch.setattr(harness, "build_source_model", lambda *a: called.append("source"))
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", cfg_path, *extra, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert called == [] and not out.exists()
+
     @pytest.mark.parametrize("axis, values", [("alpha", "a,b"), ("kshot", "1.5"), ("batch", "8,")])
     def test_unparsable_values_are_config_errors(self, cfg_path, tmp_path, capsys, axis, values):
         rc = main(["sweep", "--config", cfg_path, "--axis", axis, "--values", values,
@@ -351,6 +368,18 @@ class TestExitCodes:
         rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: widths[0] must equal the data's channel count 3")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", ["12", "13"])
+    def test_k_without_a_stream_exits_one_before_any_data(self, cfg_path, tmp_path, capsys,
+                                                          monkeypatch, k):
+        # the tiny config has 12 samples per class
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda *a: pytest.fail("generated data"))
+        monkeypatch.setattr(harness, "build_source_model", lambda *a: pytest.fail("trained"))
+        rc = main(["run-all", "--config", cfg_path, "--k", k, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: k must be less than data.per_class_count 12, got {k}")
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
@@ -475,3 +504,12 @@ def test_readme_cli_block_parses():
         except SystemExit:
             unparsed.append(line)
     assert unparsed == []
+
+
+def test_package_root_binds_only_finetune():
+    import fewshot_tta
+
+    names = {name for name, value in vars(fewshot_tta).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert names == {"finetune"}
+    assert callable(fewshot_tta.finetune) and fewshot_tta.__version__

@@ -114,7 +114,8 @@ class TestValidation:
         ('{"source": {"batch_size": 0}}', "batch_size must be >= 1"),
         ('{"source": {"log_every": 0}}', "log_every must be >= 1"),
         ('{"adapt": {"lr": -1}}', "lr must be positive"),
-        ('{"adapt": {"tau": 0}}', "tau must be positive"),
+        ('{"k": 200}', "k must be less than data.per_class_count 200, got 200"),
+        ('{"k": 4, "data": {"per_class_count": 3}}', "per_class_count 3, got 4"),
         ('{"adapt": {"groups": ["cnov"]}}', "unknown parameter groups"),
         ('{"finetune": {"groups": ["head", "nrom_affine"]}}', "unknown parameter groups"),
     ])
@@ -123,7 +124,8 @@ class TestValidation:
             parse(text)
 
     @pytest.mark.parametrize("section,key", [
-        ("data", "master_seed"), ("data", "channels"), ("source", "seed"), ("finetune", "seed")])
+        ("data", "master_seed"), ("data", "channels"), ("source", "seed"), ("finetune", "seed"),
+        ("adapt", "tau")])
     def test_seed_and_channel_keys_are_unknown(self, section, key):
         assert key not in json.loads(serialize(RunConfig()))[section]
         with pytest.raises(ConfigError, match=f"unknown .* keys: \\['{key}'\\]"):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fewshot_tta import channel_stats, Tensor
 from fewshot_tta.data import (
     BenchmarkConfig,
     DomainSpec,
@@ -25,6 +24,7 @@ from fewshot_tta.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from fewshot_tta.tensor import Tensor, channel_stats
 
 
 def identity_spec(domain_id=0, channels=3, noise=0.0, seed=1):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fewshot_tta import Tensor, channel_stats, finite_diff_check
 from fewshot_tta.errors import ConfigError
 from fewshot_tta.fda import (
     FdaConfig,
@@ -15,6 +14,8 @@ from fewshot_tta.fda import (
     mix_stats,
     mixer,
 )
+from fewshot_tta.gradcheck import finite_diff_check
+from fewshot_tta.tensor import Tensor, channel_stats
 
 import oracles
 

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fewshot_tta import Tensor, finite_diff_check, no_grad, softmax, softmax_cross_entropy
 from fewshot_tta.data import DomainSpec, gen_domain
 from fewshot_tta.errors import (
     BadMagicError,
@@ -17,6 +16,7 @@ from fewshot_tta.errors import (
     VersionMismatchError,
 )
 from fewshot_tta.fda import FdaConfig, make_plans, mixer
+from fewshot_tta.gradcheck import finite_diff_check
 from fewshot_tta.model import (
     Backbone,
     SourceConfig,
@@ -25,6 +25,7 @@ from fewshot_tta.model import (
     save_model,
     train_source,
 )
+from fewshot_tta.tensor import Tensor, no_grad, softmax, softmax_cross_entropy
 
 
 @pytest.fixture

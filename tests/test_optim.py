@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from fewshot_tta import Adam, Tensor, finite_diff_check
+from fewshot_tta.gradcheck import finite_diff_check
+from fewshot_tta.optim import Adam
+from fewshot_tta.tensor import Tensor
 
 import oracles
 

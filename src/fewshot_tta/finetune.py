@@ -15,7 +15,7 @@ import numpy as np
 from .data import SupportSet, records_as_arrays
 from .errors import ConfigError, NumericError
 from .fda import FdaConfig, make_plans, mixer
-from .model import PARAM_GROUPS, Backbone, check_groups, predict
+from .model import Backbone, predict
 from .optim import Adam
 from .tensor import softmax_cross_entropy
 
@@ -27,17 +27,14 @@ class FinetuneConfig:
     lr: float = 5e-5
     batch_size: int = 64
     fda: FdaConfig = field(default_factory=FdaConfig)
-    groups: tuple = PARAM_GROUPS
 
     def __post_init__(self):
-        self.groups = tuple(self.groups)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_groups(self.groups)
 
 
 def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: int):
@@ -55,7 +52,7 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: in
     if cfg.epochs == 0:
         return tuned, trace
 
-    opt = Adam(tuned.trainable_params(cfg.groups), lr=cfg.lr)
+    opt = Adam(tuned.trainable_params(), lr=cfg.lr)
     rng = np.random.default_rng(seed)
     full_batch = n <= cfg.batch_size
 

@@ -44,13 +44,6 @@ MODEL_VERSION = 1
 PARAM_GROUPS = ("conv", "norm_affine", "head")
 
 
-def check_groups(groups) -> None:
-    """Raise ConfigError unless every name in groups is one of PARAM_GROUPS."""
-    bad = set(groups) - set(PARAM_GROUPS)
-    if bad:
-        raise ConfigError(f"unknown parameter groups {sorted(bad)}; valid: {PARAM_GROUPS}")
-
-
 def param_shapes(widths, num_classes: int) -> dict[str, tuple]:
     """Each parameter's shape, in declaration (and on-disk blob) order.
 
@@ -116,7 +109,9 @@ class Backbone:
         parameter, so a backward computes no gradient (and keeps no im2col
         matrix) for a parameter left out. ``copy`` unfreezes them again.
         """
-        check_groups(groups)
+        bad = set(groups) - set(PARAM_GROUPS)
+        if bad:
+            raise ConfigError(f"unknown parameter groups {sorted(bad)}; valid: {PARAM_GROUPS}")
         by_group = self.param_groups()
         names = [n for g in PARAM_GROUPS if g in groups for n in by_group[g]]
         for n, p in self.params.items():

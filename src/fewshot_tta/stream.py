@@ -10,14 +10,14 @@ for evaluation; the adaptation functions never receive them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .data import records_as_arrays
 from .errors import ConfigError, DataError
-from .model import PARAM_GROUPS, Backbone, check_groups
+from .model import PARAM_GROUPS, Backbone
 from .optim import Adam
 from .prototypes import PrototypeBank, ema_update, proto_classify
 from .tensor import Tensor, log, mul, neg, softmax, softmax_entropy, take_rows, tsum
@@ -58,20 +58,14 @@ class AdaptConfig:
     alpha: float = 0.6
     batch_size: int = 64
     lr: float = 5e-5
-    groups: tuple = PARAM_GROUPS
-    predict_with: str = "head"
 
     def __post_init__(self):
-        self.groups = tuple(self.groups)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        check_groups(self.groups)
-        if self.predict_with not in ("head", "proto"):
-            raise ConfigError(f"predict_with must be head or proto, got {self.predict_with!r}")
 
 
 @dataclass
@@ -96,8 +90,10 @@ class AdaptState:
 
 
 def init_adapt_state(model: Backbone, bank: PrototypeBank | None, cfg: AdaptConfig,
-                     trainable: bool = True) -> AdaptState:
-    opt = Adam(model.trainable_params(cfg.groups), lr=cfg.lr) if trainable else None
+                     groups=PARAM_GROUPS) -> AdaptState:
+    """A fresh state whose optimizer updates the given parameter groups; no
+    groups means no optimizer, for the methods that never update the model."""
+    opt = Adam(model.trainable_params(groups), lr=cfg.lr) if groups else None
     return AdaptState(model=model, bank=bank, opt=opt, cfg=cfg)
 
 
@@ -237,10 +233,7 @@ def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
     else:
         emb, logits = state.model.infer(x)
     probs = softmax(logits).data
-    if state.cfg.predict_with == "proto":
-        preds = np.argmax(proto_classify(state.bank, emb), axis=1)
-    else:
-        preds = np.argmax(logits, axis=1)
+    preds = np.argmax(logits, axis=1)
 
     sel = entropy_filter(probs, state.cfg.alpha)
     pseudo = pseudo_label(logits[sel])
@@ -323,10 +316,9 @@ def run_baseline(kind: str, model: Backbone, stream: list[StreamBatch], cfg: Ada
             raise ConfigError("fs_tta needs the support-set prototype bank (--support)")
         state, step = init_adapt_state(model, bank, cfg), adapt_batch
     elif kind in ("entropy_min", "ft_plus_entropy_min"):
-        tent_cfg = replace(cfg, groups=("norm_affine",), predict_with="head")
-        state, step = init_adapt_state(model, None, tent_cfg), tent_batch
+        state, step = init_adapt_state(model, None, cfg, groups=("norm_affine",)), tent_batch
     else:
-        state = init_adapt_state(model, None, cfg, trainable=False)
+        state = init_adapt_state(model, None, cfg, groups=())
         step = partial(frozen_batch, batch_stats=kind == "norm_stat")
 
     for batch in stream:

@@ -103,22 +103,6 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A view of the same data with the graph cut off."""
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.grad = None
-        t.requires_grad = False
-        t._node = None
-        return t
-
-    def zero_grad(self):
-        self.grad = None
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return t
-
     # -- graph -----------------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None):

@@ -66,10 +66,7 @@ def adapt_batch_full_graph(model, bank, cfg, x):
         p.grad = None
     emb, logits = model.forward(x, mode="eval")
     probs = softmax(logits)
-    if cfg.predict_with == "proto":
-        preds = np.argmax(proto_classify(bank, emb.data), axis=1)
-    else:
-        preds = np.argmax(logits.data, axis=1)
+    preds = np.argmax(logits.data, axis=1)
     sel = entropy_filter(probs.data, cfg.alpha)
     pseudo = pseudo_label(logits.data[sel])
     ema_update(bank, emb.data[sel], pseudo)

@@ -7,11 +7,9 @@ from fewshot_tta.errors import ConfigError
 from fewshot_tta.fda import (
     FdaConfig,
     FdaPlan,
-    apply_fda,
     fda_transform,
     make_plan,
     make_plans,
-    mix_stats,
     mixer,
 )
 from fewshot_tta.gradcheck import finite_diff_check
@@ -20,66 +18,91 @@ from fewshot_tta.tensor import Tensor, channel_stats
 import oracles
 
 
+def _pair_stats(f, pairing, eps=0.0):
+    """(mu, sigma) of every sample and of its partner, each N x C."""
+    mu, sig = channel_stats(f, eps=eps)
+    return mu.data, sig.data, mu.data[pairing], sig.data[pairing]
+
+
 class TestMixStats:
-    def test_lambda_one_keeps_own_stats(self):
-        beta, gamma = mix_stats([1.0, 2.0], [0.5, 0.7], [9.0, 9.0], [9.0, 9.0], 1.0)
-        assert np.array_equal(beta.data, [1.0, 2.0])
-        assert np.array_equal(gamma.data, [0.5, 0.7])
+    """The statistics blend inside fda_transform: with eps = 0 the output's
+    channel statistics are lam * own + (1 - lam) * partner's."""
 
-    def test_lambda_zero_takes_partner_stats(self):
-        beta, gamma = mix_stats([1.0], [0.5], [3.0], [2.5], 0.0)
-        assert np.array_equal(beta.data, [3.0])
-        assert np.array_equal(gamma.data, [2.5])
+    def test_lambda_one_keeps_own_stats(self, rng):
+        f = Tensor(rng.normal(size=(3, 2, 5, 5)) * 2.0 + 1.0)
+        plan = FdaPlan(pairing=np.array([1, 2, 0]), lambdas=np.ones(3))
+        mu, sig, _, _ = _pair_stats(f, plan.pairing)
+        mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
+        assert np.allclose(mu2, mu, atol=1e-12)
+        assert np.allclose(sig2, sig, atol=1e-12)
 
-    def test_midpoint(self):
-        beta, gamma = mix_stats([0.0], [1.0], [2.0], [3.0], 0.5)
-        assert beta.data[0] == pytest.approx(1.0)
-        assert gamma.data[0] == pytest.approx(2.0)
+    def test_lambda_zero_takes_partner_stats(self, rng):
+        f = Tensor(rng.normal(size=(3, 2, 5, 5)) * 2.0 + 1.0)
+        plan = FdaPlan(pairing=np.array([2, 0, 1]), lambdas=np.zeros(3))
+        _, _, mu_j, sig_j = _pair_stats(f, plan.pairing)
+        mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
+        assert np.allclose(mu2, mu_j, atol=1e-9)
+        assert np.allclose(sig2, sig_j, atol=1e-9)
+
+    def test_midpoint(self, rng):
+        f = Tensor(rng.normal(size=(2, 3, 4, 4)) * 1.5 - 0.5)
+        plan = FdaPlan(pairing=np.array([1, 0]), lambdas=np.full(2, 0.5))
+        mu, sig, mu_j, sig_j = _pair_stats(f, plan.pairing)
+        mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
+        assert np.allclose(mu2, (mu + mu_j) / 2, atol=1e-9)
+        assert np.allclose(sig2, (sig + sig_j) / 2, atol=1e-9)
 
     def test_lambda_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            mix_stats([0.0], [1.0], [1.0], [1.0], 1.5)
-        with pytest.raises(ConfigError):
-            mix_stats([0.0], [1.0], [1.0], [1.0], -0.1)
+        # a plan carries the lambdas, so one outside [0, 1] never reaches the blend
+        for bad in (1.5, -0.1):
+            with pytest.raises(ConfigError, match="lambda"):
+                FdaPlan(pairing=np.arange(2), lambdas=np.array([0.5, bad]))
 
     def test_matches_loop_oracle(self, rng):
-        mu_i, mu_j = rng.normal(size=4), rng.normal(size=4)
-        sig_i, sig_j = rng.uniform(0.1, 2, size=4), rng.uniform(0.1, 2, size=4)
-        lam = 0.3
-        beta, gamma = mix_stats(mu_i, sig_i, mu_j, sig_j, lam)
-        ob, og = oracles.mix_stats_loops(list(mu_i), list(sig_i), list(mu_j), list(sig_j), lam)
-        assert np.allclose(beta.data, ob, atol=1e-12)
-        assert np.allclose(gamma.data, og, atol=1e-12)
+        x = rng.normal(size=(4, 2, 3, 5))
+        plan = FdaPlan(pairing=rng.permutation(4), lambdas=rng.uniform(0.0, 1.0, size=4))
+        out = fda_transform(Tensor(x), plan, eps=0.0)
+        mu, sig, mu_j, sig_j = _pair_stats(Tensor(x), plan.pairing)
+        for i, lam in enumerate(plan.lambdas):
+            beta, gamma = oracles.mix_stats_loops(list(mu[i]), list(sig[i]), list(mu_j[i]),
+                                                  list(sig_j[i]), lam)
+            mu2, sig2, _, _ = _pair_stats(Tensor(out.data[i: i + 1]), np.arange(1))
+            assert np.allclose(mu2[0], beta, atol=1e-12)
+            assert np.allclose(sig2[0], gamma, atol=1e-12)
 
 
 class TestApplyFda:
-    def test_stat_transfer(self, rng):
-        f = Tensor(rng.normal(size=(2, 3, 5, 5)) * 2.0 + 1.0)
-        mu, sig = channel_stats(f, eps=0.0)
-        target_beta = Tensor(rng.normal(size=(2, 3)))
-        target_gamma = Tensor(rng.uniform(0.5, 2.0, size=(2, 3)))
-        out = apply_fda(f, (mu, sig), (target_beta, target_gamma))
-        mu2, sig2 = channel_stats(out, eps=0.0)
-        assert np.allclose(mu2.data, target_beta.data, atol=1e-9)
-        assert np.allclose(sig2.data, target_gamma.data, atol=1e-9)
+    """The re-instantiation inside fda_transform: gamma_mix * (f - mu) / sigma
+    + beta_mix per sample and channel."""
 
-    def test_constant_channel_becomes_beta(self):
-        f = Tensor(np.full((1, 1, 3, 3), 4.0))
-        mu, sig = channel_stats(f, eps=1e-6)
-        out = apply_fda(f, (mu, sig), (Tensor([[7.0]]), Tensor([[2.0]])))
-        assert np.allclose(out.data, 7.0)
+    def test_stat_transfer(self, rng):
+        f = Tensor(rng.normal(size=(4, 3, 5, 5)) * 2.0 + 1.0)
+        plan = FdaPlan(pairing=rng.permutation(4), lambdas=rng.uniform(0.0, 1.0, size=4))
+        mu, sig, mu_j, sig_j = _pair_stats(f, plan.pairing)
+        lam = plan.lambdas[:, None]
+        mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
+        assert np.allclose(mu2, lam * mu + (1.0 - lam) * mu_j, atol=1e-9)
+        assert np.allclose(sig2, lam * sig + (1.0 - lam) * sig_j, atol=1e-9)
+
+    def test_constant_channel_becomes_beta(self, rng):
+        # sample 0's channel is flat, so f - mu is 0 there and only beta_mix is left
+        f = rng.normal(size=(2, 1, 3, 3))
+        f[0] = 4.0
+        plan = FdaPlan(pairing=np.array([1, 0]), lambdas=np.array([0.3, 0.6]))
+        out = fda_transform(Tensor(f), plan, eps=1e-6)
+        assert np.allclose(out.data[0], 0.3 * 4.0 + 0.7 * f[1].mean())
 
     def test_matches_loop_oracle(self, rng):
-        f = rng.normal(size=(1, 2, 4, 4))
-        t = Tensor(f)
-        mu, sig = channel_stats(t, eps=0.0)
-        beta = rng.normal(size=(1, 2))
-        gamma = rng.uniform(0.5, 2.0, size=(1, 2))
-        out = apply_fda(t, (mu, sig), (Tensor(beta), Tensor(gamma)))
-        expected = oracles.apply_fda_loops(f[0].tolist(), mu.data[0].tolist(),
-                                           sig.data[0].tolist(), beta[0].tolist(),
-                                           gamma[0].tolist())
-        assert np.allclose(out.data[0], expected, atol=1e-12)
+        x = rng.normal(size=(3, 2, 4, 4))
+        plan = FdaPlan(pairing=np.array([2, 0, 1]), lambdas=np.array([0.2, 0.9, 0.5]))
+        out = fda_transform(Tensor(x), plan, eps=0.0)
+        mu, sig, mu_j, sig_j = _pair_stats(Tensor(x), plan.pairing)
+        for i, lam in enumerate(plan.lambdas):
+            beta, gamma = oracles.mix_stats_loops(list(mu[i]), list(sig[i]), list(mu_j[i]),
+                                                  list(sig_j[i]), lam)
+            expected = oracles.apply_fda_loops(x[i].tolist(), mu[i].tolist(), sig[i].tolist(),
+                                               beta, gamma)
+            assert np.allclose(out.data[i], expected, atol=1e-12)
 
 
 class TestFdaTransform:
@@ -114,41 +137,6 @@ class TestFdaTransform:
                                    {"f": f})
         assert report.ok(1e-4), report.max_rel_err
 
-    def test_gradients_with_detached_partner(self, rng):
-        # detached mixing treats the partner's statistics as constants, so the
-        # reference function fixes them at their unperturbed values
-        f = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
-        plan = FdaPlan(pairing=np.array([1, 2, 0]), lambdas=np.array([0.6, 0.2, 0.9]))
-        probe = Tensor(rng.normal(size=(3, 2, 4, 4)))
-        eps = 1e-4
-
-        mu0, sig0 = channel_stats(Tensor(f.data.copy()), eps=eps)
-        mu_j = Tensor(mu0.data[plan.pairing])
-        sig_j = Tensor(sig0.data[plan.pairing])
-        lam = Tensor(plan.lambdas[:, None])
-
-        def frozen_partner():
-            mu, sig = channel_stats(f, eps=eps)
-            beta_mix, gamma_mix = mix_stats(mu, sig, mu_j, sig_j, lam)
-            return (apply_fda(f, (mu, sig), (beta_mix, gamma_mix)) * probe).sum()
-
-        report = finite_diff_check(frozen_partner, {"f": f})
-        assert report.ok(1e-4), report.max_rel_err
-
-        # and the detached transform computes exactly that frozen-partner gradient
-        frozen_grad = f.grad.copy()
-        f.zero_grad()
-        (fda_transform(f, plan, eps=eps, detach_mixed=True) * probe).sum().backward()
-        assert np.allclose(f.grad, frozen_grad, atol=1e-10)
-
-    def test_detach_changes_gradient(self, rng):
-        f1 = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
-        f2 = Tensor(f1.data.copy(), requires_grad=True)
-        plan = FdaPlan(pairing=np.array([1, 2, 0]), lambdas=np.array([0.2, 0.4, 0.6]))
-        fda_transform(f1, plan, eps=1e-4).sum().backward()
-        fda_transform(f2, plan, eps=1e-4, detach_mixed=True).sum().backward()
-        assert not np.allclose(f1.grad, f2.grad)
-
 
 class TestMakePlan:
     def test_deterministic_given_seed(self):
@@ -181,22 +169,13 @@ class TestMakePlan:
             assert sorted(plan.pairing.tolist()) == list(range(16))
 
     def test_make_plans_covers_sites(self):
-        cfg = FdaConfig(sites=(1, 2))
-        plans = make_plans(8, np.random.default_rng(0), cfg)
+        plans = make_plans(8, np.random.default_rng(0), FdaConfig())
         assert set(plans) == {1, 2}
         assert not np.array_equal(plans[1].lambdas, plans[2].lambdas)
 
-    def test_disabled_config_gives_no_plans(self):
-        assert make_plans(8, np.random.default_rng(0), FdaConfig(enabled=False)) == {}
-
-    @pytest.mark.parametrize("sites", [(3,), (0, 1), (1, 2, 3)])
-    def test_sites_outside_the_backbone_rejected(self, sites):
-        with pytest.raises(ConfigError, match="sites"):
-            FdaConfig(sites=sites)
-
     def test_mixer_applies_each_site_plan_and_passes_others_through(self, rng):
-        cfg = FdaConfig(p_apply=1.0, sites=(2,), eps=1e-4)
-        plans = make_plans(4, np.random.default_rng(3), cfg)
+        cfg = FdaConfig(p_apply=1.0, eps=1e-4)
+        plans = {2: make_plan(4, np.random.default_rng(3), cfg)}
         mix = mixer(plans, cfg)
         h = Tensor(rng.normal(size=(4, 3, 5, 5)))
         assert mix(1, h) is h
@@ -207,4 +186,4 @@ class TestMakePlan:
         with pytest.raises(ConfigError):
             FdaPlan(pairing=np.array([0, 0, 2]), lambdas=np.full(3, 0.5))
         with pytest.raises(ConfigError):
-            FdaPlan(pairing=np.arange(3), lambdas=np.array([0.5, 1.2, 0.1]))
+            FdaPlan(pairing=np.arange(3), lambdas=np.full(2, 0.5))

@@ -90,7 +90,7 @@ def test_report_survives_mutated_metrics(inputs, tmp_path, capsys):
 
 def test_config_readers_survive_mutated_configs(inputs, tmp_path):
     parsed = rejected = 0
-    for mutant in _mutants((inputs / "cfg.json").read_bytes(), 4, header=False):
+    for mutant in _mutants((inputs / "cfg.json").read_bytes(), 5, header=False):
         path = tmp_path / "cfg.json"
         path.write_bytes(mutant)
         for read in (load_config, lambda p: parse(p.read_bytes().decode("utf-8", "replace"))):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fewshot_tta.config import RunConfig, describe
-from fewshot_tta.data import BenchmarkConfig
+from fewshot_tta.data import BenchmarkConfig, records_as_arrays
 from fewshot_tta.errors import ConfigError, DataError
 from fewshot_tta.fda import FdaConfig
 from fewshot_tta.finetune import FinetuneConfig
@@ -18,7 +18,7 @@ from fewshot_tta.harness import (METRICS_SCHEMA, build_report, build_source_mode
                                  check_comparable, format_report, format_sweep,
                                  make_trial, prepare_benchmark, run_all, run_method,
                                  run_stage1, sweep)
-from fewshot_tta.model import SourceConfig
+from fewshot_tta.model import SourceConfig, predict
 from fewshot_tta.stream import AdaptConfig
 
 
@@ -30,7 +30,7 @@ def tiny_cfg(**over):
             source_gains=((1.0, 1.0, 1.0), (1.2, 0.8, 1.0)),
             source_biases=((0.0, 0.0, 0.0), (0.1, -0.1, 0.0)),
             target_gain=(1.8, 0.5, 1.4), target_bias=(0.5, -0.4, 0.2)),
-        source=SourceConfig(iters=60, lr=3e-3, batch_size=16),
+        source=SourceConfig(iters=150, lr=3e-3, batch_size=16),
         finetune=FinetuneConfig(epochs=5, lr=1e-3, fda=FdaConfig(p_apply=1.0)),
         adapt=AdaptConfig(batch_size=10, lr=1e-3))
     return dataclasses.replace(cfg, **over) if over else cfg
@@ -50,6 +50,13 @@ class TestBenchmarkPrep:
         assert len(bench.source_data) == 2
         assert len(bench.target_data) == 36
         assert bench.class_count == 3
+
+    def test_source_model_predicts_more_than_one_class(self, pipeline):
+        # a source model that calls every stream sample one class scores every
+        # method alike, so no determinism or identity check could see a change
+        cfg, bench, model = pipeline
+        x, _ = records_as_arrays(make_trial(cfg, bench).remainder)
+        assert len(np.unique(predict(model, x))) >= 2
 
     def test_master_seed_overrides_data_seed(self):
         a = prepare_benchmark(tiny_cfg(master_seed=1))
@@ -131,14 +138,15 @@ class TestRunAll:
         assert a["methods"]["fs_tta"]["curve"] == b["methods"]["fs_tta"]["curve"]
 
     def test_blas_thread_count_does_not_change_a_run(self):
-        """The run document of every method on the acceptance suite's small
-        config is byte-identical at 1 BLAS thread and at the default count."""
+        """The run document of every method on tiny_cfg is byte-identical at
+        1 BLAS thread and at the default count."""
         tests = Path(__file__).resolve().parent
         script = ("import json\n"
                   "from fewshot_tta.harness import run_all\n"
                   "from fewshot_tta.stream import BASELINE_KINDS\n"
-                  "from test_acceptance import _small_cfg, _strip_timings\n"
-                  "print(json.dumps(_strip_timings(run_all(_small_cfg(), BASELINE_KINDS)),"
+                  "from test_acceptance import _strip_timings\n"
+                  "from test_harness import tiny_cfg\n"
+                  "print(json.dumps(_strip_timings(run_all(tiny_cfg(), BASELINE_KINDS)),"
                   " sort_keys=True))\n")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}

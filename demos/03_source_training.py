@@ -8,7 +8,7 @@ from fewshot_tta.model import SourceConfig, train_source
 cfg = BenchmarkConfig(per_class_count=60)
 source_domains, target_data = generate_benchmark(cfg, seed=0)
 
-model, curve = train_source(source_domains, SourceConfig(iters=400, log_every=100), seed=0,
+model, curve = train_source(source_domains, SourceConfig(iters=400), seed=0,
                             widths=(3, 8, 16, 16), num_classes=cfg.class_count)
 for step, loss in curve:
     print(f"iter {step:4d}  loss {loss:.4f}")

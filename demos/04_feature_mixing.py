@@ -9,7 +9,7 @@ from fewshot_tta.tensor import Tensor, channel_stats
 rng = np.random.default_rng(3)
 feats = Tensor(rng.standard_normal((4, 2, 6, 6)) * 2.0 + 1.0, requires_grad=True)
 
-plan = make_plan(4, rng, FdaConfig(p_apply=1.0, alpha_beta=0.8))
+plan = make_plan(4, rng, FdaConfig(p_apply=1.0))
 print(f"pairing {plan.pairing}  lambdas {np.round(plan.lambdas, 3)}")
 
 mixed = fda_transform(feats, plan)

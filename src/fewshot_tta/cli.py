@@ -136,7 +136,7 @@ def cmd_adapt(args) -> int:
     bank = None
     if args.support:
         sup = _read_for_model(args.support, model, args.model)
-        bank = harness.support_bank(model, sup.records, sup.num_classes, cfg.ema_beta)
+        bank = harness.support_bank(model, sup.records, sup.num_classes)
     fields = harness.adapt_stream(cfg, cfg.method, model, ds.records,
                                   seed_plan(cfg)["stream"], bank)
     write_json(args.out, {

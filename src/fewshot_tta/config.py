@@ -32,7 +32,6 @@ class RunConfig:
     k: int = 5
     widths: tuple = (3, 16, 32, 32)
     stream_order: str = "shuffled"
-    ema_beta: float = 0.9
     data: BenchmarkConfig = field(default_factory=BenchmarkConfig)
     source: SourceConfig = field(default_factory=SourceConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
@@ -47,8 +46,6 @@ class RunConfig:
         if self.k >= self.data.per_class_count:
             raise ConfigError(f"k must be less than data.per_class_count "
                               f"{self.data.per_class_count}, got {self.k}")
-        if not 0.0 <= self.ema_beta <= 1.0:
-            raise ConfigError(f"ema_beta must be in [0, 1], got {self.ema_beta}")
         if self.stream_order not in ("shuffled", "sorted"):
             raise ConfigError(f"stream_order must be shuffled or sorted, got {self.stream_order!r}")
         # the first width is the network's input channel count, which the data sets

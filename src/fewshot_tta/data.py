@@ -191,9 +191,10 @@ def atomic_open(path, mode: str = "w"):
 
 
 def write_json(path, doc) -> None:
-    """Write doc atomically as indented JSON with sorted keys."""
+    """Write doc atomically as indented JSON with sorted keys; a NaN or an
+    infinity, which JSON cannot hold, raises ValueError."""
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -245,23 +246,18 @@ def _record_dtype(c: int, h: int, w: int) -> np.dtype:
     return np.dtype([("label", "<u2"), ("pixels", "<f4", (c, h, w))])
 
 
-def write_dataset(path, records: list[SampleRecord], num_classes: int,
-                  domain_id: int | None = None) -> None:
-    """Write records atomically as one little-endian TTAD file (u16 labels, f32 pixels)."""
-    if records:
-        shapes = {rec.pixels.shape for rec in records}
-        if len(shapes) > 1:
-            raise DataError(f"records disagree on pixel shape: {sorted(shapes)}")
-        domains = {rec.domain_id for rec in records}
-        if len(domains) > 1:
-            raise DataError(f"one file holds one domain, got ids {sorted(domains)}")
-        if domain_id is None:
-            domain_id = records[0].domain_id
-        c, h, w = records[0].pixels.shape
-    else:
-        if domain_id is None:
-            raise DataError("empty dataset needs an explicit domain_id")
-        c = h = w = 0
+def write_dataset(path, records: list[SampleRecord], num_classes: int) -> None:
+    """Write records atomically as one little-endian TTAD file (u16 labels,
+    f32 pixels); the file's domain is the records' one domain."""
+    if not records:
+        raise DataError("empty record list")
+    shapes = {rec.pixels.shape for rec in records}
+    if len(shapes) > 1:
+        raise DataError(f"records disagree on pixel shape: {sorted(shapes)}")
+    domains = {rec.domain_id for rec in records}
+    if len(domains) > 1:
+        raise DataError(f"one file holds one domain, got ids {sorted(domains)}")
+    c, h, w = records[0].pixels.shape
     for rec in records:
         if not 0 <= rec.label < num_classes:
             raise DataError(f"label {rec.label} out of range for {num_classes} classes")
@@ -269,11 +265,10 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int,
             raise DataError("non-finite pixel values")
     table = np.empty(len(records), dtype=_record_dtype(c, h, w))
     table["label"] = [rec.label for rec in records]
-    if records:
-        table["pixels"] = np.stack([rec.pixels for rec in records])
+    table["pixels"] = np.stack([rec.pixels for rec in records])
     with atomic_open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(records), c, h, w,
-                             num_classes, domain_id))
+                             num_classes, records[0].domain_id))
         f.write(table.tobytes())
 
 
@@ -306,6 +301,10 @@ def read_dataset(path) -> Dataset:
 
 # -- default desk-scale benchmark ---------------------------------------
 
+# the pixel noise of every source domain
+SOURCE_NOISE_STD = 0.05
+
+
 @dataclass
 class BenchmarkConfig:
     """The default desk-scale generation recipe: 3 source styles, 1 far target."""
@@ -315,7 +314,6 @@ class BenchmarkConfig:
     image_size: int = 16
     source_gains: tuple = ((1.0, 1.0, 1.0), (1.3, 0.8, 1.1), (0.7, 1.2, 0.9))
     source_biases: tuple = ((0.0, 0.0, 0.0), (0.2, -0.1, 0.05), (-0.2, 0.1, 0.15))
-    source_noise_std: float = 0.05
     target_gain: tuple = (0.1, 1.0, 1.0)
     target_bias: tuple = (0.3, -0.2, 0.1)
     target_noise_std: float = 0.02
@@ -338,7 +336,7 @@ def benchmark_domains(cfg: BenchmarkConfig, seed: int) -> tuple[list[DomainSpec]
     sources = []
     for i, (gain, bias) in enumerate(zip(cfg.source_gains, cfg.source_biases)):
         sources.append(DomainSpec(domain_id=i, gain=np.array(gain), bias=np.array(bias),
-                                  noise_std=cfg.source_noise_std,
+                                  noise_std=SOURCE_NOISE_STD,
                                   seed=sub_seed(data_seed, f"domain{i}")))
     target_id = len(sources)
     target = DomainSpec(domain_id=target_id, gain=np.array(cfg.target_gain),

@@ -16,21 +16,22 @@ from .errors import ConfigError
 from .tensor import Tensor, as_tensor, channel_stats, div, mul, reshape, sub, take_rows
 
 
+# the Beta(a, a) concentration each sample's lambda is drawn from: most
+# mass lies near 0 and 1, so a mixed sample mostly takes one side's style
+ALPHA_BETA = 0.1
+# the smoothing term of the mixed statistics' sigma = sqrt(var + EPS)
+EPS = 1e-6
+
+
 @dataclass
 class FdaConfig:
-    """Mixing knobs; alpha_beta is the Beta(a, a) concentration for lambda."""
+    """Mixing knobs: the chance that a site's plan applies."""
 
-    alpha_beta: float = 0.1
     p_apply: float = 0.5
-    eps: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha_beta <= 0:
-            raise ConfigError(f"alpha_beta must be > 0, got {self.alpha_beta}")
         if not 0.0 <= self.p_apply <= 1.0:
             raise ConfigError(f"p_apply must be in [0, 1], got {self.p_apply}")
-        if self.eps < 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
 
 
 @dataclass
@@ -58,15 +59,16 @@ class FdaPlan:
 
 
 def make_plan(batch_size: int, rng: np.random.Generator, cfg: FdaConfig) -> FdaPlan:
-    """Draw one site's plan: uniform pairing permutation, Beta(a, a) lambdas,
-    and an apply flag with probability p_apply. Deterministic given rng state.
+    """Draw one site's plan: uniform pairing permutation, Beta(a, a) lambdas
+    with a = ALPHA_BETA, and an apply flag with probability p_apply.
+    Deterministic given rng state.
     """
     if batch_size < 2:
         return FdaPlan(pairing=np.arange(max(batch_size, 0)),
                        lambdas=np.ones(max(batch_size, 0)), apply=False)
     apply = bool(rng.random() < cfg.p_apply)
     pairing = rng.permutation(batch_size)
-    lambdas = rng.beta(cfg.alpha_beta, cfg.alpha_beta, size=batch_size)
+    lambdas = rng.beta(ALPHA_BETA, ALPHA_BETA, size=batch_size)
     return FdaPlan(pairing=pairing, lambdas=lambdas, apply=apply)
 
 
@@ -75,7 +77,7 @@ def make_plans(batch_size: int, rng: np.random.Generator, cfg: FdaConfig) -> dic
     return {site: make_plan(batch_size, rng, cfg) for site in (1, 2)}
 
 
-def fda_transform(features, plan: FdaPlan, eps: float = 1e-6) -> Tensor:
+def fda_transform(features, plan: FdaPlan, eps: float = EPS) -> Tensor:
     """Apply one plan to an N x C x H x W feature map batch.
 
     Each sample's per-channel statistics (mu, sigma) blend with its partner's
@@ -100,15 +102,11 @@ def fda_transform(features, plan: FdaPlan, eps: float = 1e-6) -> Tensor:
     return mul(reshape(gamma_mix, *col), normed) + reshape(beta_mix, *col)
 
 
-def mixer(plans: dict[int, FdaPlan], cfg: FdaConfig):
-    """The ``mix(site, h)`` hook of ``Backbone.forward`` for one batch's plans.
-
-    A site without a plan passes its features through. ``fda_transform`` is
-    looked up per call, so a wrapper installed on it later still sees it.
+def mixer(plans: dict[int, FdaPlan]):
+    """The ``mix(site, h)`` hook of ``Backbone.forward`` for one batch's plans
+    (see ``make_plans``). ``fda_transform`` is looked up per call, so a
+    wrapper installed on it later still sees it.
     """
     def mix(site: int, h: Tensor) -> Tensor:
-        plan = plans.get(site)
-        if plan is None:
-            return h
-        return fda_transform(h, plan, eps=cfg.eps)
+        return fda_transform(h, plans[site])
     return mix

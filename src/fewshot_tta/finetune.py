@@ -19,13 +19,17 @@ from .model import Backbone, predict
 from .optim import Adam
 from .tensor import softmax_cross_entropy
 
+# the largest support set that trains in one batch; a larger one goes in
+# shuffled minibatches of this size
+BATCH_SIZE = 64
+
+
 @dataclass
 class FinetuneConfig:
     """Stage I knobs; epochs=0 is a valid no-op budget."""
 
     epochs: int = 50
     lr: float = 5e-5
-    batch_size: int = 64
     fda: FdaConfig = field(default_factory=FdaConfig)
 
     def __post_init__(self):
@@ -33,8 +37,6 @@ class FinetuneConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: int):
@@ -54,26 +56,22 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: in
 
     opt = Adam(tuned.trainable_params(), lr=cfg.lr)
     rng = np.random.default_rng(seed)
-    full_batch = n <= cfg.batch_size
+    full_batch = n <= BATCH_SIZE
 
     for epoch in range(1, cfg.epochs + 1):
         if full_batch:
             starts = [np.arange(n)]
         else:
             perm = rng.permutation(n)
-            starts = [perm[i: i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+            starts = [perm[i: i + BATCH_SIZE] for i in range(0, n, BATCH_SIZE)]
         losses = []
         for idx in starts:
             xb, yb = x[idx], y[idx]
-            mix = mixer(make_plans(len(idx), rng, cfg.fda), cfg.fda)
+            mix = mixer(make_plans(len(idx), rng, cfg.fda))
             _, logits = tuned.forward(xb, mode="train", mix=mix)
-            loss = softmax_cross_entropy(logits, yb)
-            val = loss.item()
+            val = opt.minimize(softmax_cross_entropy(logits, yb))
             if not np.isfinite(val):
                 raise NumericError(f"fine-tuning diverged at epoch {epoch}: loss={val}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
             losses.append(val)
         acc = float(np.mean(predict(tuned, x) == y))
         trace.append({"epoch": epoch, "loss": float(np.mean(losses)), "support_acc": acc})

@@ -22,7 +22,7 @@ from .prototypes import init_bank
 from .stream import make_stream, resolve_method, run_baseline
 
 RUN_SCHEMA = "fewshot-tta-run/1"
-METRICS_SCHEMA = "fewshot-tta-metrics/1"
+METRICS_SCHEMA = "fewshot-tta-metrics/2"
 SWEEP_SCHEMA = "fewshot-tta-sweep/1"
 
 STAGE1_METHODS = ("ft_only", "ft_plus_entropy_min", "fs_tta")
@@ -80,16 +80,16 @@ def embed_records(model: Backbone, records) -> tuple[np.ndarray, np.ndarray]:
     return model.infer(x)[0], y
 
 
-def support_bank(model: Backbone, records, class_count: int, ema_beta: float):
+def support_bank(model: Backbone, records, class_count: int):
     """The prototype bank seeded from the model's embeddings of the support records."""
     emb, labels = embed_records(model, records)
-    return init_bank(emb, labels, class_count=class_count, ema_beta=ema_beta)
+    return init_bank(emb, labels, class_count=class_count)
 
 
 def run_stage1(cfg: RunConfig, trial: TrialSetup, source_model: Backbone) -> Stage1Result:
     """Fine-tune on the support set and seed the bank from its embeddings."""
     tuned, trace = finetune(source_model, trial.support, cfg.finetune, trial.seeds["fda"])
-    bank = support_bank(tuned, trial.support.samples, trial.support.class_count, cfg.ema_beta)
+    bank = support_bank(tuned, trial.support.samples, trial.support.class_count)
     return Stage1Result(tuned=tuned, trace=trace, bank=bank)
 
 
@@ -289,7 +289,8 @@ def check_comparable(docs: list, paths=None, force: bool = False) -> None:
     """Refuse metrics that were not produced on the same footing."""
     paths = paths or [f"input {i}" for i in range(len(docs))]
     for doc, path in zip(docs, paths):
-        if doc.get("schema") != METRICS_SCHEMA:
+        # /1 differs only in writing a bare NaN for a batch without a loss
+        if doc.get("schema") not in ("fewshot-tta-metrics/1", METRICS_SCHEMA):
             raise DataError(f"{path}: schema {doc.get('schema')!r}, expected {METRICS_SCHEMA!r}")
         for key, types in (("method", (str,)), ("final_accuracy", (int, float)),
                            ("num_classes", (int,)), ("total", (int,))):

@@ -190,6 +190,9 @@ class Backbone:
 
 # -- source training -----------------------------------------------------
 
+# the training curve keeps every LOG_EVERY-th iteration's loss, and the last
+LOG_EVERY = 100
+
 
 @dataclass
 class SourceConfig:
@@ -198,7 +201,6 @@ class SourceConfig:
     iters: int = 2000
     lr: float = 1e-3
     batch_size: int = 32
-    log_every: int = 100
 
     def __post_init__(self):
         if self.iters < 0:
@@ -207,8 +209,6 @@ class SourceConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
 
 def train_source(source_data, cfg: SourceConfig, seed: int,
@@ -243,18 +243,14 @@ def train_source(source_data, cfg: SourceConfig, seed: int,
             cursor = 0
         idx = order[cursor: cursor + cfg.batch_size]
         cursor += cfg.batch_size
-        opt.zero_grad()
         # gathered per batch: a stacked copy of every source image would stay
         # alive for the whole run
         x, y = records_as_arrays([records[i] for i in idx])
         _, logits = model.forward(x, mode="train")
-        loss = softmax_cross_entropy(logits, y)
-        loss_val = loss.item()
+        loss_val = opt.minimize(softmax_cross_entropy(logits, y))
         if not np.isfinite(loss_val):
             raise NumericError(f"source training diverged at iteration {it}: loss={loss_val}")
-        loss.backward()
-        opt.step()
-        if it % cfg.log_every == 0 or it == cfg.iters - 1:
+        if it % LOG_EVERY == 0 or it == cfg.iters - 1:
             curve.append((it, loss_val))
     return model, curve
 

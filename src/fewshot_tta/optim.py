@@ -11,15 +11,17 @@ from .tensor import Tensor
 
 logger = logging.getLogger(__name__)
 
+# the moment decay rates and the denominator's smoothing term of every Adam
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Moment buffers and step counter; one entry per named parameter."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
     step_count: int = 0
@@ -27,18 +29,17 @@ class AdamState:
 
 
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction, at BETA1, BETA2 and EPS.
 
     An update with any non-finite gradient is skipped entirely (parameters,
     moments and step counter untouched) and counted in ``skipped_steps``.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = dict(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.state = AdamState(lr=lr)
         for name, p in self.params.items():
             self.state.first_moment[name] = np.zeros_like(p.data)
             self.state.second_moment[name] = np.zeros_like(p.data)
@@ -46,6 +47,17 @@ class Adam:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
+
+    def minimize(self, loss: Tensor) -> float:
+        """One update from a scalar loss: zero_grad, backward and ``step``,
+        run only when the loss is finite. Returns the loss value either way.
+        """
+        value = loss.item()
+        if np.isfinite(value):
+            self.zero_grad()
+            loss.backward()
+            self.step()
+        return value
 
     def step(self) -> bool:
         """Apply one update from the current ``.grad`` buffers.
@@ -69,16 +81,15 @@ class Adam:
         st = self.state
         st.step_count += 1
         t = st.step_count
-        bias1 = 1.0 - st.beta1 ** t
-        bias2 = 1.0 - st.beta2 ** t
+        bias1 = 1.0 - BETA1 ** t
+        bias2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = grads[name]
             m = st.first_moment[name]
             v = st.second_moment[name]
-            m *= st.beta1
-            m += (1.0 - st.beta1) * g
-            v *= st.beta2
-            v += (1.0 - st.beta2) * (g * g)
-            p.data -= st.lr * (m / bias1) / (np.sqrt(v / bias2) + st.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= st.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
         return True
-

@@ -14,13 +14,16 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tensor import softmax, unit_rows
 
+# the weight a prototype keeps of itself in each sliding update
+EMA_BETA = 0.9
+
 
 @dataclass
 class PrototypeBank:
     """One centroid per class plus EMA bookkeeping."""
 
     prototypes: np.ndarray
-    ema_beta: float = 0.9
+    ema_beta: float = EMA_BETA
     update_counts: np.ndarray = field(default=None)
     t: int = 0
 
@@ -44,7 +47,7 @@ class PrototypeBank:
                              self.update_counts.copy(), self.t)
 
 
-def init_bank(embeddings, labels, class_count: int, ema_beta: float = 0.9) -> PrototypeBank:
+def init_bank(embeddings, labels, class_count: int, ema_beta: float = EMA_BETA) -> PrototypeBank:
     """Build the bank as per-class means of the support embeddings.
 
     Every class must appear at least once; the offender is named otherwise.
@@ -69,15 +72,11 @@ def ema_update(bank: PrototypeBank, embeddings, pseudo_labels) -> PrototypeBank:
 
     m_c <- beta * m_c + (1 - beta) * mean(features pseudo-labeled c); classes
     absent from the batch keep their prototype bitwise. The time step
-    increments once per call, even on an empty batch.
+    increments once per call, even on an empty batch. embeddings is N x D.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(pseudo_labels, dtype=np.int64)
-    if emb.ndim == 1:
-        emb = emb[None, :]
-    if y.ndim == 0:
-        y = y[None]
-    if emb.shape[0] != y.shape[0]:
+    if emb.ndim != 2 or y.shape != emb.shape[:1]:
         raise DataError(f"embeddings {emb.shape} do not align with labels {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= bank.class_count):
         raise DataError(f"pseudo-label out of range for {bank.class_count} classes")
@@ -93,19 +92,15 @@ def ema_update(bank: PrototypeBank, embeddings, pseudo_labels) -> PrototypeBank:
 def proto_classify(bank: PrototypeBank, features, temperature: float = 1.0) -> np.ndarray:
     """Cosine-softmax class probabilities against the prototypes.
 
-    features may be one D vector (returns C probabilities) or an N x D batch
-    (returns N x C). Zero-norm features or prototypes contribute similarity 0
-    and raise a degenerate-similarity warning (see tensor.unit_rows).
+    features is an N x D batch; the result is N x C. Zero-norm features or
+    prototypes contribute similarity 0 and raise a degenerate-similarity
+    warning (see tensor.unit_rows).
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     f = np.asarray(features, dtype=np.float64)
-    single = f.ndim == 1
-    if single:
-        f = f[None, :]
-    if f.shape[1] != bank.prototypes.shape[1]:
-        raise DataError(f"feature dim {f.shape[1]} != prototype dim {bank.prototypes.shape[1]}")
+    if f.ndim != 2 or f.shape[1] != bank.prototypes.shape[1]:
+        raise DataError(f"features must be N x {bank.prototypes.shape[1]}, got shape {f.shape}")
 
     sims = np.clip(unit_rows(f) @ unit_rows(bank.prototypes).T, -1.0, 1.0)
-    probs = softmax(sims / temperature).data
-    return probs[0] if single else probs
+    return softmax(sims / temperature).data

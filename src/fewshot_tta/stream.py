@@ -148,13 +148,12 @@ def pseudo_label(logits) -> np.ndarray:
 
 
 def consistency_mask(model_probs, proto_probs) -> np.ndarray:
-    """1 where the head's argmax and the prototype argmax agree, else 0."""
+    """Per row of two B x C batches, 1 where the head's argmax and the
+    prototype argmax agree, else 0."""
     p = np.asarray(model_probs, dtype=np.float64)
     q = np.asarray(proto_probs, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DataError(f"probability shapes differ: {p.shape} vs {q.shape}")
-    if p.ndim == 1:
-        p, q = p[None, :], q[None, :]
+    if p.shape != q.shape or p.ndim != 2:
+        raise DataError(f"probabilities must be two B x C batches, got {p.shape} and {q.shape}")
     return (np.argmax(p, axis=1) == np.argmax(q, axis=1)).astype(np.int64)
 
 
@@ -189,18 +188,6 @@ def entropy_min_loss(logits: Tensor) -> Tensor:
 # -- the adaptation step -------------------------------------------------
 
 
-def _train_step(state: AdaptState, loss: Tensor) -> float:
-    """One Adam step on a finite loss; a non-finite one is counted and skipped."""
-    loss_val = loss.item()
-    if np.isfinite(loss_val):
-        state.opt.zero_grad()
-        loss.backward()
-        state.opt.step()
-    else:
-        state.loss_skipped += 1
-    return loss_val
-
-
 # Above this share of selected rows, one graph forward over the whole batch
 # is cheaper than graph-free inference plus a graph over the kept rows: on
 # the default trial (2 vCPUs) the two cost the same near 0.69 at batch 64,
@@ -221,7 +208,8 @@ def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
     selected, that forward is the graph-free ``Backbone.infer`` and the kept
     rows alone go through a graph-mode forward (none kept, no graph);
     otherwise one graph-mode forward over the whole batch serves both.
-    A non-finite loss skips the step and the stream continues.
+    A batch without a loss, or with a non-finite one, records loss None; a
+    non-finite loss also skips the step, and the stream continues.
     """
     if state.bank is None:
         raise ConfigError("adapt_batch needs an initialized prototype bank")
@@ -242,12 +230,15 @@ def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
     masks = consistency_mask(probs[sel], proto_probs)
 
     keep = np.flatnonzero(masks)
-    loss_val = float("nan")
+    loss_val = None
     if keep.size:
         rows = sel[keep]
         sub_logits = (take_rows(graph_logits, rows) if graph_logits is not None
                       else state.model.forward(x[rows], mode="eval")[1])
-        loss_val = _train_step(state, online_loss(softmax(sub_logits), pseudo[keep], masks[keep]))
+        loss_val = state.opt.minimize(online_loss(softmax(sub_logits), pseudo[keep], masks[keep]))
+        if not np.isfinite(loss_val):
+            state.loss_skipped += 1
+            loss_val = None
 
     state.selected_total += int(sel.size)
     state.mask_total += int(masks.sum())
@@ -264,7 +255,10 @@ def tent_batch(state: AdaptState, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     _, logits = state.model.forward(x, mode="eval")
     preds = np.argmax(logits.data, axis=1)
-    loss_val = _train_step(state, entropy_min_loss(logits))
+    loss_val = state.opt.minimize(entropy_min_loss(logits))
+    if not np.isfinite(loss_val):
+        state.loss_skipped += 1
+        loss_val = None
     state.rows.append({"selected": x.shape[0], "mask_rate": 1.0, "loss": loss_val})
     return preds
 
@@ -272,7 +266,7 @@ def tent_batch(state: AdaptState, inputs) -> np.ndarray:
 def frozen_batch(state: AdaptState, inputs, batch_stats: bool = False) -> np.ndarray:
     """Predict without adapting; batch_stats normalizes with the batch's own statistics."""
     _, logits = state.model.infer(inputs, batch_stats=batch_stats)
-    state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": float("nan")})
+    state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": None})
     return np.argmax(logits, axis=1)
 
 

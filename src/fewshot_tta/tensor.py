@@ -521,15 +521,15 @@ def conv2d(x, weight) -> Tensor:
 # -- probability heads --------------------------------------------------
 
 
-def softmax(logits, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max subtraction)."""
+def softmax(logits) -> Tensor:
+    """Numerically stable softmax along the last axis (max subtraction)."""
     logits = as_tensor(logits)
-    z = logits.data - logits.data.max(axis=axis, keepdims=True)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    probs = e / e.sum(axis=axis, keepdims=True)
+    probs = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * probs).sum(axis=axis, keepdims=True)
+        inner = (g * probs).sum(axis=-1, keepdims=True)
         return (probs * (g - inner),)
 
     return _result(probs, (logits,), backward)
@@ -619,8 +619,8 @@ def softmax_entropy(logits) -> Tensor:
 def channel_stats(x, eps: float = 0.0) -> tuple[Tensor, Tensor]:
     """Per-(sample, channel) spatial mean and population std of N x C x H x W.
 
-    With ``eps`` > 0 the std is smoothed as sqrt(var + eps), which keeps it
-    differentiable on constant channels; eps=0 gives the exact population std.
+    The std is sqrt(var + eps): eps > 0 keeps it differentiable on constant
+    channels, and eps=0 gives the exact population std.
     """
     x = as_tensor(x)
     if x.ndim != 4:
@@ -628,8 +628,7 @@ def channel_stats(x, eps: float = 0.0) -> tuple[Tensor, Tensor]:
     mu = tmean(x, axis=(2, 3))
     centered = sub(x, reshape(mu, mu.shape[0], mu.shape[1], 1, 1))
     var = tmean(mul(centered, centered), axis=(2, 3))
-    sigma = sqrt(add(var, eps)) if eps else sqrt(var)
-    return mu, sigma
+    return mu, sqrt(add(var, eps))
 
 
 def instance_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

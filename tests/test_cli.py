@@ -1,9 +1,11 @@
 """Command-line workflows: artifacts, sidecars, exit codes, determinism."""
 
 import contextlib
+import csv
 import inspect
 import json
 import os
+import re
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -209,11 +211,11 @@ class TestAdapt:
         cfg = replace(load_config(cfg_path), method=resolve_method(method))
         model = load_model(model_path)
         support = read_dataset(support_path)
-        bank = harness.support_bank(model, support.records, support.num_classes, cfg.ema_beta)
+        bank = harness.support_bank(model, support.records, support.num_classes)
         fields = harness.adapt_stream(cfg, cfg.method, model, read_dataset(stream_path).records,
                                       seed_plan(cfg)["stream"], bank)
         fields.pop("seconds")
-        # json text compares floats bitwise and NaN losses as equal
+        # json text compares floats bitwise
         assert json.dumps({k: doc[k] for k in fields}, sort_keys=True) == \
             json.dumps(fields, sort_keys=True)
         sidecar = {k: v for k, v in doc.items() if k not in fields and k != "seconds"}
@@ -324,6 +326,63 @@ class TestRunAllCommand:
         assert "online accuracy" in capsys.readouterr().out
 
 
+def _strict_json(path):
+    """The document at path, refusing the NaN and Infinity tokens that JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_every_cli_document_is_strict_json(self, workspace, cfg_path, tmp_path, capsys):
+        # erm has no loss on any batch; tent and fs_tta have one on most
+        for method, model in (("erm", "source.ttam"), ("tent", "source.ttam"),
+                              ("fs_tta", "tuned.ttam")):
+            assert main(["adapt", "--config", cfg_path, "--model", str(workspace / model),
+                         "--stream", str(workspace / "data" / "stream.ttad"),
+                         "--support", str(workspace / "data" / "support.ttad"),
+                         "--method", method, "--out", str(tmp_path / f"{method}.json"),
+                         "--batch-csv", str(tmp_path / f"{method}.csv")]) == 0
+        assert main(["sweep", "--config", cfg_path, "--axis", "alpha", "--values", "0.0,1.0",
+                     "--trials", "1", "--out", str(tmp_path / "sweep.json")]) == 0
+        assert main(["run-all", "--config", cfg_path, "--methods", "source_only,fs_tta",
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        paths = [*workspace.rglob("*.json"), *tmp_path.rglob("*.json")]
+        assert {"manifest.json", "gen-data.sidecar.json", "source.ttam.sidecar.json",
+                "tuned.ttam.sidecar.json", "erm.json", "sweep.json",
+                "report.json"} <= {p.name for p in paths}
+        for path in paths:
+            _strict_json(path)
+        erm = _strict_json(tmp_path / "erm.json")
+        assert erm["schema"] == "fewshot-tta-metrics/2"
+        assert {row["loss"] for row in erm["rows"]} == {None}
+        with open(tmp_path / "erm.csv", newline="") as fh:
+            assert {row["loss"] for row in csv.DictReader(fh)} == {""}
+        losses = [row["loss"] for row in _strict_json(tmp_path / "tent.json")["rows"]]
+        assert all(isinstance(v, float) for v in losses)
+
+    def test_write_json_refuses_nan_and_leaves_the_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, {"loss": None})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_json(path, {"loss": bad})
+        assert _strict_json(path) == {"loss": None}
+
+    def test_report_reads_a_version_1_file_beside_a_version_2_one(self, tmp_path, capsys):
+        doc = {"method": "source_only", "final_accuracy": 0.5, "num_classes": 3, "total": 10,
+               "curve": [0.5], "rows": [{"loss": None}]}
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        write_json(new, {**doc, "schema": harness.METRICS_SCHEMA})
+        # version 1 wrote a bare NaN for a batch without a loss
+        old.write_text(json.dumps({**doc, "schema": "fewshot-tta-metrics/1", "method": "fs_tta",
+                                   "rows": [{"loss": float("nan")}]}))
+        assert "NaN" in old.read_text()
+        assert main(["report", str(old), str(new)]) == 0
+        assert "fs_tta" in capsys.readouterr().out
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["adapt"]) == 1
@@ -356,10 +415,24 @@ class TestExitCodes:
 
     def test_out_of_range_config_exits_one_before_any_stage(self, tmp_path, capsys):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"source": {"log_every": 0}}))
+        path.write_text(json.dumps({"source": {"iters": -1}}))
         rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: log_every must be >= 1")
+        assert capsys.readouterr().err.startswith("error: iters must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"ema_beta": 0.9}, "ema_beta"), ({"source": {"log_every": 100}}, "log_every"),
+        ({"finetune": {"batch_size": 64}}, "batch_size"),
+        ({"finetune": {"fda": {"alpha_beta": 0.1}}}, "alpha_beta"),
+        ({"finetune": {"fda": {"eps": 1e-6}}}, "eps"),
+        ({"data": {"source_noise_std": 0.05}}, "source_noise_std")])
+    def test_removed_key_exits_one_naming_it(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert re.match(rf"error: unknown \w+ keys: \['{key}'\]\n$", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_width_channel_mismatch_exits_one_before_any_data(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from fewshot_tta.stream import AdaptConfig
 def _custom():
     return RunConfig(
         master_seed=7, trial_seed=3, method="tent", k=2, widths=(3, 4, 8, 8),
-        stream_order="sorted", ema_beta=0.8,
+        stream_order="sorted",
         data=BenchmarkConfig(class_count=4, per_class_count=20, image_size=8),
         source=SourceConfig(iters=100, lr=2e-3),
         finetune=FinetuneConfig(epochs=10, lr=1e-4, fda=FdaConfig(p_apply=0.8)),
@@ -69,8 +69,9 @@ class TestValidation:
             RunConfig(k=0)
 
     def test_bad_ema_rejected(self):
-        with pytest.raises(ConfigError, match="ema_beta"):
-            RunConfig(ema_beta=1.5)
+        # ema_beta is the constant prototypes.EMA_BETA, not a key, so setting it fails by name
+        with pytest.raises(ConfigError, match=r"unknown RunConfig keys: \['ema_beta'\]"):
+            parse('{"ema_beta": 1.5}')
 
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError, match="stream_order"):
@@ -111,7 +112,7 @@ class TestValidation:
         ('{"source": {"iters": -1}}', "iters must be >= 0"),
         ('{"source": {"lr": 0}}', "lr must be positive"),
         ('{"source": {"batch_size": 0}}', "batch_size must be >= 1"),
-        ('{"source": {"log_every": 0}}', "log_every must be >= 1"),
+        ('{"source": {"log_every": 0}}', r"unknown SourceConfig keys: \['log_every'\]"),
         ('{"adapt": {"lr": -1}}', "lr must be positive"),
         ('{"k": 200}', "k must be less than data.per_class_count 200, got 200"),
         ('{"k": 4, "data": {"per_class_count": 3}}', "per_class_count 3, got 4"),
@@ -127,7 +128,8 @@ class TestValidation:
         ("data", "master_seed"), ("data", "channels"), ("source", "seed"), ("finetune", "seed"),
         ("adapt", "tau"), ("adapt", "predict_with"), ("adapt", "groups"),
         ("finetune", "groups"), ("finetune.fda", "enabled"), ("finetune.fda", "sites"),
-        ("finetune.fda", "detach_mixed")])
+        ("finetune.fda", "detach_mixed"), ("source", "log_every"),
+        ("finetune.fda", "alpha_beta"), ("finetune.fda", "eps"), ("data", "source_noise_std")])
     def test_seed_and_channel_keys_are_unknown(self, section, key):
         """Keys RunConfig no longer has fail by name; section is a dotted path."""
         doc, text = json.loads(serialize(RunConfig())), {key: 0}
@@ -140,14 +142,35 @@ class TestValidation:
             parse(json.dumps(text))
 
     def test_floats_take_ints_and_trial_seed_takes_null(self):
-        cfg = parse('{"adapt": {"alpha": 1}, "ema_beta": 0, "trial_seed": null}')
-        assert cfg.adapt.alpha == 1 and cfg.ema_beta == 0 and cfg.trial_seed is None
+        cfg = parse('{"adapt": {"alpha": 1}, "finetune": {"fda": {"p_apply": 0}}, '
+                    '"trial_seed": null}')
+        assert cfg.adapt.alpha == 1 and cfg.finetune.fda.p_apply == 0 and cfg.trial_seed is None
         assert parse('{"trial_seed": 3}').trial_seed == 3
 
     def test_partial_config_fills_defaults(self):
         cfg = parse('{"k": 3}')
         assert cfg.k == 3
         assert cfg.master_seed == RunConfig().master_seed
+
+
+def _leaves(doc: dict) -> list:
+    """The dotted path of every non-object value in a JSON object."""
+    out = []
+    for key, value in doc.items():
+        out += [f"{key}.{leaf}" for leaf in _leaves(value)] if isinstance(value, dict) else [key]
+    return out
+
+
+def test_run_config_has_23_settable_values():
+    leaves = sorted(_leaves(json.loads(serialize(RunConfig()))))
+    assert leaves == [
+        "adapt.alpha", "adapt.batch_size", "adapt.lr",
+        "data.class_count", "data.image_size", "data.per_class_count", "data.source_biases",
+        "data.source_gains", "data.target_bias", "data.target_gain", "data.target_noise_std",
+        "finetune.epochs", "finetune.fda.p_apply", "finetune.lr",
+        "k", "master_seed", "method",
+        "source.batch_size", "source.iters", "source.lr",
+        "stream_order", "trial_seed", "widths"]
 
 
 class TestSeedPlan:

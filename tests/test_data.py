@@ -1,5 +1,7 @@
 """Synthetic domain generator and TTAD round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -160,15 +162,19 @@ class TestDatasetFile:
         p1, p2 = tmp_path / "a.ttad", tmp_path / "b.ttad"
         write_dataset(p1, records, num_classes=4)
         ds = read_dataset(p1)
-        write_dataset(p2, ds.records, num_classes=ds.num_classes, domain_id=ds.domain_id)
+        write_dataset(p2, ds.records, num_classes=ds.num_classes)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_dataset_accepted(self, tmp_path):
+        """An empty file is read, but no empty file is written."""
         path = tmp_path / "empty.ttad"
-        write_dataset(path, [], num_classes=6, domain_id=1)
+        with pytest.raises(DataError, match="empty"):
+            write_dataset(path, [], num_classes=6)
+        assert not path.exists()
+        # a file written elsewhere may hold a header and no records
+        path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 0, 3, 4, 4, 6, 1))
         ds = read_dataset(path)
-        assert ds.records == []
-        assert ds.domain_id == 1
+        assert ds.records == [] and ds.num_classes == 6 and ds.domain_id == 1
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttad"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fewshot_tta.errors import ConfigError
+from fewshot_tta import fda
 from fewshot_tta.fda import (
     FdaConfig,
     FdaPlan,
@@ -28,29 +29,16 @@ class TestMixStats:
     """The statistics blend inside fda_transform: with eps = 0 the output's
     channel statistics are lam * own + (1 - lam) * partner's."""
 
-    def test_lambda_one_keeps_own_stats(self, rng):
+    @pytest.mark.parametrize("lam, pairing", [
+        (1.0, [1, 2, 0]), (0.0, [2, 0, 1]), (0.5, [1, 0, 2])])
+    def test_constant_lambda_blends_own_and_partner_stats(self, rng, lam, pairing):
+        # 1 keeps a sample's own statistics, 0 takes its partner's, 0.5 the midpoint
         f = Tensor(rng.normal(size=(3, 2, 5, 5)) * 2.0 + 1.0)
-        plan = FdaPlan(pairing=np.array([1, 2, 0]), lambdas=np.ones(3))
-        mu, sig, _, _ = _pair_stats(f, plan.pairing)
-        mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
-        assert np.allclose(mu2, mu, atol=1e-12)
-        assert np.allclose(sig2, sig, atol=1e-12)
-
-    def test_lambda_zero_takes_partner_stats(self, rng):
-        f = Tensor(rng.normal(size=(3, 2, 5, 5)) * 2.0 + 1.0)
-        plan = FdaPlan(pairing=np.array([2, 0, 1]), lambdas=np.zeros(3))
-        _, _, mu_j, sig_j = _pair_stats(f, plan.pairing)
-        mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
-        assert np.allclose(mu2, mu_j, atol=1e-9)
-        assert np.allclose(sig2, sig_j, atol=1e-9)
-
-    def test_midpoint(self, rng):
-        f = Tensor(rng.normal(size=(2, 3, 4, 4)) * 1.5 - 0.5)
-        plan = FdaPlan(pairing=np.array([1, 0]), lambdas=np.full(2, 0.5))
+        plan = FdaPlan(pairing=np.array(pairing), lambdas=np.full(3, lam))
         mu, sig, mu_j, sig_j = _pair_stats(f, plan.pairing)
         mu2, sig2, _, _ = _pair_stats(fda_transform(f, plan, eps=0.0), plan.pairing)
-        assert np.allclose(mu2, (mu + mu_j) / 2, atol=1e-9)
-        assert np.allclose(sig2, (sig + sig_j) / 2, atol=1e-9)
+        assert np.allclose(mu2, lam * mu + (1.0 - lam) * mu_j, atol=1e-9)
+        assert np.allclose(sig2, lam * sig + (1.0 - lam) * sig_j, atol=1e-9)
 
     def test_lambda_out_of_range_rejected(self):
         # a plan carries the lambdas, so one outside [0, 1] never reaches the blend
@@ -156,11 +144,13 @@ class TestMakePlan:
         plan = make_plan(1, np.random.default_rng(0), FdaConfig())
         assert not plan.apply
 
-    def test_huge_concentration_centers_lambda(self):
-        cfg = FdaConfig(alpha_beta=1e6, p_apply=1.0)
+    def test_lambdas_are_symmetric_and_mostly_near_0_or_1(self):
+        # Beta(0.1, 0.1): mean 0.5, and about 81% of its mass within 0.1 of an end
+        assert fda.ALPHA_BETA == 0.1
         rng = np.random.default_rng(1)
-        draws = np.concatenate([make_plan(100, rng, cfg).lambdas for _ in range(100)])
-        assert abs(draws.mean() - 0.5) < 0.01
+        draws = np.concatenate([make_plan(100, rng, FdaConfig()).lambdas for _ in range(100)])
+        assert abs(draws.mean() - 0.5) < 0.02
+        assert np.mean((draws < 0.1) | (draws > 0.9)) > 0.75
 
     def test_pairing_is_permutation(self):
         rng = np.random.default_rng(3)
@@ -173,14 +163,13 @@ class TestMakePlan:
         assert set(plans) == {1, 2}
         assert not np.array_equal(plans[1].lambdas, plans[2].lambdas)
 
-    def test_mixer_applies_each_site_plan_and_passes_others_through(self, rng):
-        cfg = FdaConfig(p_apply=1.0, eps=1e-4)
-        plans = {2: make_plan(4, np.random.default_rng(3), cfg)}
-        mix = mixer(plans, cfg)
+    def test_mixer_applies_each_site_plan(self, rng):
+        plans = make_plans(4, np.random.default_rng(3), FdaConfig(p_apply=1.0))
+        mix = mixer(plans)
         h = Tensor(rng.normal(size=(4, 3, 5, 5)))
-        assert mix(1, h) is h
-        want = fda_transform(h, plans[2], eps=1e-4)
-        assert np.array_equal(mix(2, h).data, want.data)
+        for site in (1, 2):
+            want = fda_transform(h, plans[site], eps=fda.EPS)
+            assert np.array_equal(mix(site, h).data, want.data)
 
     def test_bad_plan_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,10 +1,12 @@
 """Support-set fine-tuning: reduction semantics, budgets, evaluation purity."""
 
 import csv
+import sys
 
 import numpy as np
 import pytest
 
+from fewshot_tta.config import parse
 from fewshot_tta.data import SampleRecord, SupportSet, write_csv
 from fewshot_tta.errors import ConfigError, DataError, NumericError
 from fewshot_tta.fda import FdaConfig
@@ -49,8 +51,9 @@ class TestFinetuneConfig:
             FinetuneConfig(lr=0.0)
 
     def test_bad_batch_rejected(self):
-        with pytest.raises(ConfigError, match="batch"):
-            FinetuneConfig(batch_size=0)
+        # the batch size is the constant BATCH_SIZE, not a key, so setting it fails by name
+        with pytest.raises(ConfigError, match=r"unknown FinetuneConfig keys: \['batch_size'\]"):
+            parse('{"finetune": {"batch_size": 0}}')
 
 
 class TestFinetune:
@@ -160,11 +163,13 @@ class TestFinetune:
         with pytest.raises(NumericError, match="diverged at epoch 1"):
             finetune(model, _support(rng), FinetuneConfig(epochs=2, fda=NO_FDA), 0)
 
-    def test_minibatch_path_covers_all_samples(self, rng):
+    def test_minibatch_path_covers_all_samples(self, rng, monkeypatch):
+        # 12 support samples in batches of 5: a support set above BATCH_SIZE; the
+        # package root binds the name finetune to the function, not the module
+        monkeypatch.setattr(sys.modules["fewshot_tta.finetune"], "BATCH_SIZE", 5)
         model = _model(rng)
         support = _support(rng, k=4)
-        tuned, trace = finetune(model, support, FinetuneConfig(
-            epochs=2, lr=1e-3, batch_size=5, fda=NO_FDA), 0)
+        tuned, trace = finetune(model, support, FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA), 0)
         assert len(trace) == 2
         assert tuned.params_hash() != model.params_hash()
 

@@ -89,15 +89,19 @@ def test_report_survives_mutated_metrics(inputs, tmp_path, capsys):
 
 
 def test_config_readers_survive_mutated_configs(inputs, tmp_path):
-    parsed = rejected = 0
-    for mutant in _mutants((inputs / "cfg.json").read_bytes(), 5, header=False):
+    blob = (inputs / "cfg.json").read_bytes()
+    # a one-bit flip inside a value: it must parse, whatever the config's length
+    value_only = blob.replace(b'"master_seed": 0', b'"master_seed": 1')
+    assert value_only != blob
+    parsed = []
+    for mutant in [value_only, *_mutants(blob, 5, header=False)]:
         path = tmp_path / "cfg.json"
         path.write_bytes(mutant)
         for read in (load_config, lambda p: parse(p.read_bytes().decode("utf-8", "replace"))):
             try:
                 assert isinstance(read(path), RunConfig)
-                parsed += 1
+                parsed.append(True)
             except ConfigError:
-                rejected += 1
-    assert parsed and rejected
+                parsed.append(False)
+    assert parsed[:2] == [True, True] and not all(parsed[2:])
 

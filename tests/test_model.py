@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fewshot_tta import model as model_mod
 from fewshot_tta.data import DomainSpec, gen_domain
 from fewshot_tta.errors import (
     BadMagicError,
@@ -15,7 +16,7 @@ from fewshot_tta.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from fewshot_tta.fda import FdaConfig, make_plans, mixer
+from fewshot_tta.fda import FdaConfig, fda_transform, make_plans, mixer
 from fewshot_tta.gradcheck import finite_diff_check
 from fewshot_tta.model import (
     Backbone,
@@ -72,7 +73,7 @@ class TestForward:
         cfg = FdaConfig(p_apply=1.0)
         plans = make_plans(4, np.random.default_rng(0), cfg)
         _, base = small_model.forward(x, mode="eval")
-        _, with_plan = small_model.forward(x, mode="eval", mix=mixer(plans, cfg))
+        _, with_plan = small_model.forward(x, mode="eval", mix=mixer(plans))
         assert np.array_equal(base.data, with_plan.data)
 
     def test_fda_plan_changes_train_forward(self, small_model, rng):
@@ -83,7 +84,7 @@ class TestForward:
         while not any(p.apply for p in plans.values()):
             plans = make_plans(4, rng_p, cfg)
         base, _ = small_model.forward(x, mode="eval")
-        mixed, _ = small_model.forward(x, mode="train", mix=mixer(plans, cfg))
+        mixed, _ = small_model.forward(x, mode="train", mix=mixer(plans))
         assert not np.allclose(base.data, mixed.data)
 
     def test_mix_hook_runs_after_blocks_1_and_2_in_train_mode(self, small_model, rng):
@@ -180,13 +181,16 @@ class TestFullLossGradients:
         model = Backbone(widths=(2, 3, 3, 3), num_classes=4, init_seed=1)
         model.params["head.weight"].data[:] = rng.normal(size=(3, 4)) * 0.5
         x = rng.normal(size=(4, 2, 6, 6))
-        cfg = FdaConfig(p_apply=1.0, eps=1e-4)
-        plans = make_plans(4, np.random.default_rng(5), cfg)
+        plans = make_plans(4, np.random.default_rng(5), FdaConfig(p_apply=1.0))
         for plan in plans.values():
             plan.apply = True
 
+        def mix(site, h):
+            # a larger eps than mixing's keeps the finite differences well conditioned
+            return fda_transform(h, plans[site], eps=1e-4)
+
         def fn():
-            _, logits = model.forward(x, mode="train", mix=mixer(plans, cfg))
+            _, logits = model.forward(x, mode="train", mix=mix)
             return softmax_cross_entropy(logits, [0, 1, 2, 3])
 
         report = finite_diff_check(fn, model.params, max_coords_per_param=6,
@@ -230,6 +234,12 @@ class TestTrainSource:
         m1, _ = train_source(domains, cfg, 9, widths=(3, 4, 4, 4), num_classes=2)
         m2, _ = train_source(domains, cfg, 9, widths=(3, 4, 4, 4), num_classes=2)
         assert m1.params_hash() == m2.params_hash()
+
+    def test_non_finite_loss_raises_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "softmax_cross_entropy", lambda logits, y: Tensor(np.nan))
+        with pytest.raises(NumericError, match="diverged at iteration 0: loss=nan"):
+            train_source(self.make_toy_domains(), SourceConfig(iters=3, batch_size=4), 0,
+                         widths=(3, 4, 4, 4), num_classes=2)
 
     def test_no_records_rejected(self):
         with pytest.raises(DataError):

@@ -1,8 +1,11 @@
 """Adam update semantics, including the non-finite skip path."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from fewshot_tta import optim
 from fewshot_tta.gradcheck import finite_diff_check
 from fewshot_tta.optim import Adam
 from fewshot_tta.tensor import Tensor
@@ -33,11 +36,12 @@ class TestAdamClass:
         assert params["w"].data[0] == pytest.approx(-lr, abs=1e-7 * lr)
 
     def test_two_steps_match_scalar_oracle(self):
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr = 0.01
         params = make_param([0.5])
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params, lr=lr)
         grads = [0.3, -0.7]
-        trace = oracles.adam_scalar_trace(grads, lr, b1, b2, eps, x0=0.5)
+        assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.999, 1e-8)
+        trace = oracles.adam_scalar_trace(grads, lr, 0.9, 0.999, 1e-8, x0=0.5)
         for g, expected in zip(grads, trace):
             params["w"].grad = np.array([g])
             opt.step()
@@ -85,11 +89,49 @@ class TestAdamClass:
         with pytest.raises(ValueError, match="positive"):
             Adam(make_param([0.0]), lr=0.0)
 
+    def test_constructor_takes_only_params_and_lr(self):
+        assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
+
     def test_missing_grad_treated_as_zero(self):
         params = make_param([4.0])
         opt = Adam(params, lr=0.1)
         assert opt.step()
         assert params["w"].data[0] == 4.0
+
+
+class TestMinimize:
+    def test_is_zero_grad_backward_step(self):
+        params, manual = make_param([1.0, -2.0]), make_param([1.0, -2.0])
+        opt, ref = Adam(params, lr=0.1), Adam(manual, lr=0.1)
+        for _ in range(2):
+            params["w"].grad = np.ones(2)  # stale; minimize must clear it
+            value = opt.minimize((params["w"] * params["w"]).sum())
+            ref.zero_grad()
+            loss = (manual["w"] * manual["w"]).sum()
+            loss.backward()
+            ref.step()
+            assert value == loss.item()
+        assert np.array_equal(params["w"].data, manual["w"].data)
+        assert opt.state.step_count == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_returns_it_and_takes_no_step(self, bad):
+        params = make_param([1.0])
+        opt = Adam(params, lr=0.1)
+        value = opt.minimize((params["w"] * bad).sum())
+        assert not np.isfinite(value)
+        assert params["w"].grad is None and params["w"].data[0] == 1.0
+        assert opt.state.step_count == 0 and opt.state.skipped_steps == 0
+
+    def test_calls_step_through_the_class(self, monkeypatch):
+        # a wrapper installed on Adam.step sees every update minimize makes
+        calls = []
+        real = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda opt: calls.append(opt) or real(opt))
+        params = make_param([1.0])
+        opt = Adam(params, lr=0.1)
+        opt.minimize((params["w"] * params["w"]).sum())
+        assert calls == [opt]
 
 
 class TestGradcheckHarness:

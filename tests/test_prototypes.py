@@ -96,30 +96,36 @@ class TestEmaUpdate:
         with pytest.raises(DataError):
             ema_update(self.make_bank(), [[1.0, 1.0]], [5])
 
+    @pytest.mark.parametrize("emb, labels", [([1.0, 1.0], [0]), ([1.0, 1.0], 0),
+                                             ([[1.0, 1.0]], [[0]])])
+    def test_only_batches_accepted(self, emb, labels):
+        with pytest.raises(DataError, match="align"):
+            ema_update(self.make_bank(), emb, labels)
+
 
 class TestProtoClassify:
     def test_equidistant_gives_uniform(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        probs = proto_classify(bank, [1.0, 1.0])
+        probs = proto_classify(bank, [[1.0, 1.0]])
         assert np.allclose(probs, 0.5)
 
     def test_orthonormal_direct_value(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        probs = proto_classify(bank, [1.0, 0.0], temperature=1.0)
+        [probs] = proto_classify(bank, [[1.0, 0.0]], temperature=1.0)
         e = math.e
         assert probs[0] == pytest.approx(e / (e + 1.0), abs=1e-12)
         assert probs[1] == pytest.approx(1.0 / (e + 1.0), abs=1e-12)
 
     def test_scale_invariance(self, rng):
         bank = PrototypeBank(rng.normal(size=(5, 7)))
-        f = rng.normal(size=7)
+        f = rng.normal(size=(1, 7))
         a = proto_classify(bank, f)
         b = proto_classify(bank, 137.0 * f)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_argmax_invariant_to_temperature(self, rng):
         bank = PrototypeBank(rng.normal(size=(6, 8)))
-        f = rng.normal(size=8)
+        f = rng.normal(size=(1, 8))
         picks = {np.argmax(proto_classify(bank, f, temperature=t)) for t in (0.1, 1.0, 10.0)}
         assert len(picks) == 1
 
@@ -133,18 +139,24 @@ class TestProtoClassify:
         protos = rng.normal(size=(5, 6))
         bank = PrototypeBank(protos.copy())
         f = rng.normal(size=6)
-        probs = proto_classify(bank, f, temperature=0.7)
+        [probs] = proto_classify(bank, f[None, :], temperature=0.7)
         expected = oracles.proto_classify_loops(protos.tolist(), f.tolist(), 0.7)
         assert np.allclose(probs, expected, atol=1e-12)
 
     def test_zero_feature_warns_uniform(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.warns(DegenerateSimilarityWarning):
-            probs = proto_classify(bank, [0.0, 0.0])
+            probs = proto_classify(bank, [[0.0, 0.0]])
         assert np.allclose(probs, 0.5)
 
     def test_bad_temperature_rejected(self):
         bank = PrototypeBank(np.ones((2, 2)))
         with pytest.raises(ConfigError):
-            proto_classify(bank, [1.0, 1.0], temperature=0.0)
+            proto_classify(bank, [[1.0, 1.0]], temperature=0.0)
+
+    @pytest.mark.parametrize("features", [[1.0, 1.0], [[1.0, 1.0, 1.0]], [[[1.0, 1.0]]]])
+    def test_only_n_by_d_batches_accepted(self, features):
+        bank = PrototypeBank(np.ones((2, 2)))
+        with pytest.raises(DataError, match="N x 2"):
+            proto_classify(bank, features)
 

@@ -138,7 +138,11 @@ class TestConsistencyMask:
         assert consistency_mask(p, q).tolist() == [1, 0, 0]
 
     def test_single_vector(self):
-        assert consistency_mask([0.8, 0.2], [0.6, 0.4]).tolist() == [1]
+        # only B x C batches: one vector, or a 3-d array, is rejected
+        for shape in ((2,), (1, 2, 2)):
+            p = np.full(shape, 0.5)
+            with pytest.raises(DataError, match="B x C"):
+                consistency_mask(p, p)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -361,7 +365,7 @@ class TestAdaptBatchKeptRows:
         assert state.selected_total == int(6 * alpha) and state.mask_total == 0
         assert graph_rows == want_rows
         assert all(p.grad is None for p in model.params.values())
-        assert np.isnan(state.rows[0]["loss"])
+        assert state.rows[0]["loss"] is None and state.loss_skipped == 0
         assert model.params_hash() == before
 
 
@@ -395,6 +399,18 @@ class TestTentBatch:
             opt.step()
         assert len(stream) == 5
         assert model.params_hash() == reference.params_hash()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_is_counted_and_the_stream_goes_on(self, rng, monkeypatch, bad):
+        monkeypatch.setattr("fewshot_tta.stream.entropy_min_loss", lambda logits: Tensor(bad))
+        model = _model(rng)
+        before = model.params_hash()
+        state = run_baseline("entropy_min", model,
+                             make_stream(_records(rng, 16), batch_size=8, seed=0),
+                             AdaptConfig(lr=1e-2))
+        assert state.loss_skipped == 2 and state.online_total == 16
+        assert [row["loss"] for row in state.rows] == [None, None]
+        assert model.params_hash() == before
 
     def test_frozen_groups_get_no_gradient(self, rng):
         model = _model(rng)
@@ -509,17 +525,29 @@ class TestRunBaseline:
         assert metrics.online_total == 20
         assert 0.0 <= metrics.final_accuracy <= 1.0
 
-    def test_norm_stat_never_updates_but_changes_outputs(self, rng):
+    def test_norm_stat_never_updates_but_changes_outputs(self, rng, monkeypatch):
+        # the logits themselves: this model predicts one class for every
+        # input, so scores and rows agree whatever the statistics
         model = _model(rng)
+        seen = {False: [], True: []}
+        real = model.infer
+
+        def infer(x, batch_stats=False):
+            emb, logits = real(x, batch_stats=batch_stats)
+            seen[batch_stats].append(logits)
+            return emb, logits
+
+        monkeypatch.setattr(model, "infer", infer)
         before = model.params_hash()
         recs = [SampleRecord(label=int(rng.integers(4)),
                              pixels=rng.normal(size=(3, 8, 8)) * 4.0 + 3.0, domain_id=0)
                 for _ in range(16)]
         stream = make_stream(recs, batch_size=8, seed=0)
-        bn = run_baseline("norm_stat", model, stream, AdaptConfig())
-        src = run_baseline("source_only", model, stream, AdaptConfig())
+        run_baseline("norm_stat", model, stream, AdaptConfig())
+        run_baseline("source_only", model, stream, AdaptConfig())
         assert model.params_hash() == before
-        assert bn.online_correct != src.online_correct or bn.rows != src.rows
+        assert len(seen[True]) == len(seen[False]) == 2
+        assert not np.array_equal(np.concatenate(seen[True]), np.concatenate(seen[False]))
 
     def test_entropy_min_touches_norm_affine_only(self, rng):
         model = _model(rng)

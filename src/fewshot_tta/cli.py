@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import harness
 from .config import RunConfig, describe, file_sha256, load_config, override, seed_plan
-from .data import (SupportSet, manifest, read_dataset, read_json, write_csv, write_dataset,
-                   write_json)
+from .data import (Dataset, SupportSet, manifest, read_dataset, read_json, write_csv,
+                   write_dataset, write_json)
 from .errors import ConfigError, DataError, FewshotTtaError
 from .finetune import finetune
 from .model import load_model, save_model, train_source
@@ -65,7 +65,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _read_sources(data_dir) -> list:
+def _read_sources(data_dir) -> tuple[list[Dataset], list[Path]]:
     paths = sorted(Path(data_dir).glob("source*.ttad"))
     if not paths:
         raise DataError(f"no source*.ttad files under {data_dir}")
@@ -101,6 +101,9 @@ def cmd_finetune(args) -> int:
     counts = {}
     for rec in ds.records:
         counts[rec.label] = counts.get(rec.label, 0) + 1
+    if len(set(counts.values())) > 1:
+        raise DataError(f"{args.support}: support classes hold unequal sample counts "
+                        f"{dict(sorted(counts.items()))}; each needs the same k")
     k = min(counts.values()) if counts else 0
     support = SupportSet(samples=ds.records, k=k, class_count=ds.num_classes)
     t0 = time.perf_counter()

@@ -51,9 +51,6 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: in
     x, y = records_as_arrays(support.samples)
     n = x.shape[0]
     trace = []
-    if cfg.epochs == 0:
-        return tuned, trace
-
     opt = Adam(tuned.trainable_params(), lr=cfg.lr)
     rng = np.random.default_rng(seed)
     full_batch = n <= BATCH_SIZE

@@ -42,6 +42,8 @@ MODEL_MAGIC = b"TTAM"
 MODEL_VERSION = 1
 
 PARAM_GROUPS = ("conv", "norm_affine", "head")
+# the name prefix of each group's parameters
+_GROUP_PREFIX = {"conv": "conv", "norm_affine": "norm", "head": "head"}
 
 
 def param_shapes(widths, num_classes: int) -> dict[str, tuple]:
@@ -90,20 +92,9 @@ class Backbone:
 
     # -- parameter bookkeeping ------------------------------------------
 
-    def param_groups(self) -> dict[str, list[str]]:
-        """Partition of parameter names into conv / norm_affine / head."""
-        groups = {"conv": [], "norm_affine": [], "head": []}
-        for name in self.params:
-            if name.startswith("conv"):
-                groups["conv"].append(name)
-            elif name.startswith("norm"):
-                groups["norm_affine"].append(name)
-            else:
-                groups["head"].append(name)
-        return groups
-
     def trainable_params(self, groups=PARAM_GROUPS) -> dict[str, Tensor]:
-        """The named parameters belonging to the requested groups.
+        """The named parameters belonging to the requested groups, group by
+        group in ``PARAM_GROUPS`` order; a group is its members' name prefix.
 
         Marks exactly these as requiring grad and freezes every other
         parameter, so a backward computes no gradient (and keeps no im2col
@@ -112,8 +103,8 @@ class Backbone:
         bad = set(groups) - set(PARAM_GROUPS)
         if bad:
             raise ConfigError(f"unknown parameter groups {sorted(bad)}; valid: {PARAM_GROUPS}")
-        by_group = self.param_groups()
-        names = [n for g in PARAM_GROUPS if g in groups for n in by_group[g]]
+        names = [n for g in PARAM_GROUPS if g in groups
+                 for n in self.params if n.startswith(_GROUP_PREFIX[g])]
         for n, p in self.params.items():
             p.requires_grad = n in names
         return {n: self.params[n] for n in names}

@@ -94,10 +94,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -105,8 +101,8 @@ class Tensor:
 
     # -- graph -----------------------------------------------------------
 
-    def backward(self, grad: np.ndarray | None = None):
-        """Accumulate dself/dleaf into every reachable leaf's ``.grad``.
+    def backward(self):
+        """Accumulate dself/dleaf into every reachable leaf's ``.grad``; self must be a scalar.
 
         The walk runs over graph nodes, which hold no values; each closure
         keeps only the arrays its own backward reads. Each non-leaf node is
@@ -115,14 +111,9 @@ class Tensor:
         only leaves keep ``.grad``. A second backward through a freed node
         raises ``RuntimeError``.
         """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without an explicit gradient needs a scalar output")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != self.data.shape:
-                raise ValueError(f"gradient shape {grad.shape} does not match tensor shape {self.shape}")
+        if self.data.size != 1:
+            raise ValueError(f"backward() needs a scalar output, got shape {self.shape}")
+        grad = np.ones_like(self.data)
 
         order = _toposort(self)
         root = order[-1]
@@ -146,41 +137,20 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __rsub__(self, other):
         return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -342,8 +312,6 @@ def relu(a) -> Tensor:
 
 def reshape(a, *shape) -> Tensor:
     a = as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     old_shape = a.shape
     out = a.data.reshape(shape)
 

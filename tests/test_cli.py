@@ -104,6 +104,17 @@ class TestTrainSource:
         assert "pixel shape" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_class_count_disagreement_is_data_error(self, tmp_path, cfg_path, rng, capsys):
+        for i, num_classes in enumerate((3, 4)):
+            recs = [SampleRecord(label=c, pixels=rng.normal(size=(3, 8, 8)), domain_id=i)
+                    for c in (0, 1, 2)]
+            write_dataset(tmp_path / f"source{i}.ttad", recs, num_classes=num_classes)
+        out = tmp_path / "m.ttam"
+        rc = main(["train-source", "--config", cfg_path, "--data", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        assert "source files disagree on class count: [3, 4]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFinetune:
     def test_outputs(self, workspace):
@@ -125,6 +136,28 @@ class TestFinetune:
                    "--support", str(wrong), "--out", str(out)])
         assert rc == 2
         assert f"{wrong}: 5 classes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [wrong]
+
+    @pytest.mark.parametrize("drop, message", [
+        ("class", "support set missing class 2"),
+        ("sample", "support classes hold unequal sample counts {0: 2, 1: 2, 2: 1}")])
+    def test_support_without_k_per_class_is_data_error(self, workspace, cfg_path, tmp_path,
+                                                       capsys, drop, message):
+        """A class missing, or a class short of the others' count (k = 2
+        here), exits 2 before any training, and the message names it."""
+        records = read_dataset(workspace / "data" / "support.ttad").records
+        if drop == "class":
+            kept = [rec for rec in records if rec.label != 2]
+        else:
+            last = max(i for i, rec in enumerate(records) if rec.label == 2)
+            kept = records[:last] + records[last + 1:]
+        wrong = tmp_path / "short.ttad"
+        write_dataset(wrong, kept, num_classes=3)
+        out = tmp_path / "tuned.ttam"
+        rc = main(["finetune", "--config", cfg_path, "--model", str(workspace / "source.ttam"),
+                   "--support", str(wrong), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [wrong]
 
 
@@ -231,6 +264,25 @@ class TestAdapt:
                    "--stream", str(workspace / "data" / "stream.ttad"),
                    "--method", "erm", "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad, message", [
+        ("stream", "file shorter than the header"), ("model", "expected 4 channel widths, got 3")])
+    def test_malformed_header_is_data_error(self, workspace, cfg_path, tmp_path, capsys, bad,
+                                            message):
+        files = {"stream": workspace / "data" / "stream.ttad", "model": workspace / "source.ttam"}
+        blob = bytearray(files[bad].read_bytes())
+        if bad == "stream":
+            del blob[20:]
+        else:
+            blob[8:12] = (3).to_bytes(4, "little")  # the header's width count
+        files[bad] = tmp_path / files[bad].name
+        files[bad].write_bytes(bytes(blob))
+        out = tmp_path / "x.json"
+        rc = main(["adapt", "--config", cfg_path, "--model", str(files["model"]),
+                   "--stream", str(files["stream"]), "--method", "erm", "--out", str(out)])
+        assert rc == 2
+        assert f"{files[bad]}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:
@@ -419,6 +471,14 @@ class TestExitCodes:
         rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: iters must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_stream_batch_size_exits_one_before_any_stage(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"adapt": {"batch_size": 0}}))
+        rc = main(["run-all", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: batch_size must be >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, key", [

@@ -19,6 +19,7 @@ from fewshot_tta.errors import (
 from fewshot_tta.fda import FdaConfig, fda_transform, make_plans, mixer
 from fewshot_tta.gradcheck import finite_diff_check
 from fewshot_tta.model import (
+    PARAM_GROUPS,
     Backbone,
     SourceConfig,
     load_model,
@@ -115,13 +116,14 @@ class TestForward:
 
 class TestParamGroups:
     def test_partition(self, small_model):
-        groups = small_model.param_groups()
-        flat = [n for names in groups.values() for n in names]
-        assert sorted(flat) == sorted(small_model.params)
-        assert len(flat) == len(set(flat))
+        groups = {g: list(small_model.trainable_params((g,))) for g in PARAM_GROUPS}
         assert groups["conv"] == ["conv1.weight", "conv2.weight", "conv3.weight"]
+        assert groups["norm_affine"] == [f"norm{i}.{p}" for i in (1, 2, 3) for p in ("gamma", "beta")]
         assert groups["head"] == ["head.weight", "head.bias"]
-        assert len(groups["norm_affine"]) == 6
+        # every parameter in exactly one group, and all groups in PARAM_GROUPS order
+        flat = [n for names in groups.values() for n in names]
+        assert list(small_model.trainable_params()) == flat
+        assert sorted(flat) == sorted(small_model.params)
 
     def test_norm_only_training_touches_norm_only(self, small_model, rng):
         from fewshot_tta.optim import Adam

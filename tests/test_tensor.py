@@ -18,12 +18,14 @@ from fewshot_tta.tensor import (
     cross_entropy,
     instance_norm,
     matmul,
+    mul,
     no_grad,
     relu,
     softmax,
     softmax_cross_entropy,
     softmax_entropy,
     take_rows,
+    tsum,
 )
 from fewshot_tta.tensor import _freed_backward, _normalize, _toposort, sample_chunks, unit_rows
 
@@ -71,6 +73,12 @@ class TestBasics:
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(x.grad))
 
+    def test_backward_needs_a_scalar(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"scalar output, got shape \(2, 3\)"):
+            (x * 2.0).backward()
+        assert x.grad is None
+
 
 class TestGraphRelease:
     """Backward frees each non-leaf node once its own closure has run."""
@@ -116,7 +124,7 @@ class TestGraphRelease:
         logits = matmul(Tensor(rng.normal(size=(2, 3))), w)
         softmax_cross_entropy(logits, [0, 3]).backward()
         with pytest.raises(RuntimeError, match="already freed"):
-            logits.backward(np.ones(logits.shape))
+            tsum(logits).backward()
 
     def test_source_step_leaves_no_graph_memory_behind(self, rng):
         """One default-shape source step (batch 32): after backward only the
@@ -337,7 +345,7 @@ class TestInstanceNorm:
         for op in (_normalize, oracles.normalize_graph):
             ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             out = op(*ts, axes, 1e-5)
-            out.backward(probe)
+            tsum(mul(out, probe)).backward()
             results.append([out.data] + [t.grad for t in ts])
         for got, want in zip(*results):
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -353,7 +361,7 @@ class TestInstanceNorm:
         for x_grad in (True, False):
             xt = Tensor(x, requires_grad=x_grad)
             gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
-            _normalize(xt, gt, bt, axes, 1e-5).backward(probe)
+            tsum(mul(_normalize(xt, gt, bt, axes, 1e-5), probe)).backward()
             assert (xt.grad is not None) == x_grad
             grads.append((gt.grad, bt.grad))
         for full, skipped in zip(*grads):
@@ -412,7 +420,7 @@ class TestConv2d:
         grads = []
         for x_grad in (False, True):
             xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
-            conv2d(xt, wt).backward(probe)
+            tsum(mul(conv2d(xt, wt), probe)).backward()
             assert (xt.grad is None) == (not x_grad)
             grads.append(wt.grad)
         assert np.array_equal(grads[0], grads[1])
@@ -435,7 +443,7 @@ class TestConv2d:
         x, w = rng.normal(size=xs), rng.normal(size=ws)
         probe = rng.normal(size=(xs[0], ws[0], xs[2], xs[3]))
         xt = Tensor(x, requires_grad=True)
-        conv2d(xt, Tensor(w, requires_grad=kernel_grad)).backward(probe)
+        tsum(mul(conv2d(xt, Tensor(w, requires_grad=kernel_grad)), probe)).backward()
         assert np.array_equal(xt.grad, oracles.conv2d_input_grad_full(probe, w))
 
     def test_identity_kernel(self):

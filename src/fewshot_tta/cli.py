@@ -97,15 +97,7 @@ def cmd_train_source(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _config_from(args)
     model = load_model(args.model)
-    ds = _read_for_model(args.support, model, args.model)
-    counts = {}
-    for rec in ds.records:
-        counts[rec.label] = counts.get(rec.label, 0) + 1
-    if len(set(counts.values())) > 1:
-        raise DataError(f"{args.support}: support classes hold unequal sample counts "
-                        f"{dict(sorted(counts.items()))}; each needs the same k")
-    k = min(counts.values()) if counts else 0
-    support = SupportSet(samples=ds.records, k=k, class_count=ds.num_classes)
+    support = _read_support(args.support, model, args.model)
     t0 = time.perf_counter()
     tuned, trace = finetune(model, support, cfg.finetune, seed_plan(cfg)["fda"])
     seconds = time.perf_counter() - t0
@@ -114,7 +106,7 @@ def cmd_finetune(args) -> int:
     write_csv(trace_path, ["epoch", "loss", "support_acc"], trace)
     write_json(str(args.out) + ".sidecar.json", {
         **describe(cfg), "data_hash": file_sha256(args.support),
-        "support_size": len(support.samples), "k": k,
+        "support_size": len(support.samples), "k": support.k,
         "params_hash": tuned.params_hash().hex(),
         "final_support_acc": trace[-1]["support_acc"] if trace else None,
         "seconds": seconds,
@@ -132,14 +124,22 @@ def _read_for_model(path, model, model_path):
     return ds
 
 
+def _read_support(path, model, model_path) -> SupportSet:
+    """Read a support file that holds the same number k of every class."""
+    ds = _read_for_model(path, model, model_path)
+    try:
+        return SupportSet(ds.records, ds.num_classes)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def cmd_adapt(args) -> int:
     cfg = _config_from(args)
     model = load_model(args.model)
     ds = _read_for_model(args.stream, model, args.model)
     bank = None
     if args.support:
-        sup = _read_for_model(args.support, model, args.model)
-        bank = harness.support_bank(model, sup.records, sup.num_classes)
+        bank = harness.support_bank(model, _read_support(args.support, model, args.model))
     fields = harness.adapt_stream(cfg, cfg.method, model, ds.records,
                                   seed_plan(cfg)["stream"], bank)
     write_json(args.out, {
@@ -180,8 +180,7 @@ def cmd_report(args) -> int:
     report = harness.build_report(docs, paths=args.metrics, force=args.force)
     print(harness.format_report(report))
     if args.csv:
-        rows = harness.report_csv_rows(report)
-        write_csv(args.csv, list(rows[0]), rows)
+        write_csv(args.csv, list(report["rows"][0]), report["rows"])
     return 0
 
 

@@ -13,8 +13,9 @@ import csv
 import json
 import os
 import struct
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -74,22 +75,24 @@ class Dataset:
 
 @dataclass
 class SupportSet:
-    """The k labeled target samples per class used for fine-tuning."""
+    """The labeled target samples used for fine-tuning and for seeding the
+    prototype bank: the same number k of every class, read off the samples."""
 
     samples: list[SampleRecord]
-    k: int
     class_count: int
+    k: int = field(init=False)
 
     def __post_init__(self):
-        counts = {}
-        for s in self.samples:
-            counts[s.label] = counts.get(s.label, 0) + 1
-        missing = [c for c in range(self.class_count) if counts.get(c, 0) == 0]
+        if not self.samples:
+            raise DataError("support set is empty")
+        counts = Counter(s.label for s in self.samples)
+        if len(set(counts.values())) > 1:
+            raise DataError(f"support classes hold unequal sample counts "
+                            f"{dict(sorted(counts.items()))}; each needs the same k")
+        missing = [c for c in range(self.class_count) if c not in counts]
         if missing:
             raise DataError(f"support set missing class {missing[0]}")
-        bad = {c: n for c, n in counts.items() if n != self.k}
-        if bad:
-            raise DataError(f"support set must hold exactly {self.k} samples per class, got {bad}")
+        self.k = counts[self.samples[0].label]
 
 
 def class_templates(class_count: int, image_size: int, channels: int = 3,
@@ -165,7 +168,7 @@ def split_support(target_data: list[SampleRecord], k: int, seed: int) -> tuple[S
         chosen.update(idx[:k].tolist())
     support = [target_data[i] for i in sorted(chosen)]
     remainder = [rec for i, rec in enumerate(target_data) if i not in chosen]
-    return SupportSet(support, k, class_count), remainder
+    return SupportSet(support, class_count), remainder
 
 
 # -- artifact files ------------------------------------------------------
@@ -333,15 +336,12 @@ class BenchmarkConfig:
 def benchmark_domains(cfg: BenchmarkConfig, seed: int) -> tuple[list[DomainSpec], DomainSpec]:
     """Instantiate the source DomainSpecs and the shifted target DomainSpec."""
     data_seed = sub_seed(seed, "data")
-    sources = []
-    for i, (gain, bias) in enumerate(zip(cfg.source_gains, cfg.source_biases)):
-        sources.append(DomainSpec(domain_id=i, gain=np.array(gain), bias=np.array(bias),
-                                  noise_std=SOURCE_NOISE_STD,
-                                  seed=sub_seed(data_seed, f"domain{i}")))
-    target_id = len(sources)
-    target = DomainSpec(domain_id=target_id, gain=np.array(cfg.target_gain),
-                        bias=np.array(cfg.target_bias), noise_std=cfg.target_noise_std,
-                        seed=sub_seed(data_seed, f"domain{target_id}"))
+    styles = [(gain, bias, SOURCE_NOISE_STD)
+              for gain, bias in zip(cfg.source_gains, cfg.source_biases)]
+    styles.append((cfg.target_gain, cfg.target_bias, cfg.target_noise_std))
+    *sources, target = [DomainSpec(domain_id=i, gain=np.array(gain), bias=np.array(bias),
+                                   noise_std=noise, seed=sub_seed(data_seed, f"domain{i}"))
+                        for i, (gain, bias, noise) in enumerate(styles)]
     return sources, target
 
 
@@ -367,12 +367,10 @@ def manifest(cfg: BenchmarkConfig, seed: int, files: dict[str, str]) -> dict:
         "channels": cfg.channels,
         "master_seed": seed,
         "domains": [
-            {"domain_id": s.domain_id, "role": "source", "gain": s.gain.tolist(),
-             "bias": s.bias.tolist(), "noise_std": s.noise_std, "seed": s.seed}
-            for s in sources
-        ] + [
-            {"domain_id": target.domain_id, "role": "target", "gain": target.gain.tolist(),
-             "bias": target.bias.tolist(), "noise_std": target.noise_std, "seed": target.seed}
+            {"domain_id": s.domain_id, "role": "target" if s is target else "source",
+             "gain": s.gain.tolist(), "bias": s.bias.tolist(), "noise_std": s.noise_std,
+             "seed": s.seed}
+            for s in [*sources, target]
         ],
         "files": files,
     }

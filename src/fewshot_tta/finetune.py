@@ -53,16 +53,12 @@ def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: in
     trace = []
     opt = Adam(tuned.trainable_params(), lr=cfg.lr)
     rng = np.random.default_rng(seed)
-    full_batch = n <= BATCH_SIZE
 
     for epoch in range(1, cfg.epochs + 1):
-        if full_batch:
-            starts = [np.arange(n)]
-        else:
-            perm = rng.permutation(n)
-            starts = [perm[i: i + BATCH_SIZE] for i in range(0, n, BATCH_SIZE)]
+        order = np.arange(n) if n <= BATCH_SIZE else rng.permutation(n)
         losses = []
-        for idx in starts:
+        for i in range(0, n, BATCH_SIZE):
+            idx = order[i:i + BATCH_SIZE]
             xb, yb = x[idx], y[idx]
             mix = mixer(make_plans(len(idx), rng, cfg.fda))
             _, logits = tuned.forward(xb, mode="train", mix=mix)

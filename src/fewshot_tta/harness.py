@@ -80,16 +80,16 @@ def embed_records(model: Backbone, records) -> tuple[np.ndarray, np.ndarray]:
     return model.infer(x)[0], y
 
 
-def support_bank(model: Backbone, records, class_count: int):
-    """The prototype bank seeded from the model's embeddings of the support records."""
-    emb, labels = embed_records(model, records)
-    return init_bank(emb, labels, class_count=class_count)
+def support_bank(model: Backbone, support: SupportSet):
+    """The prototype bank seeded from the model's embeddings of the support set."""
+    emb, labels = embed_records(model, support.samples)
+    return init_bank(emb, labels, class_count=support.class_count)
 
 
 def run_stage1(cfg: RunConfig, trial: TrialSetup, source_model: Backbone) -> Stage1Result:
     """Fine-tune on the support set and seed the bank from its embeddings."""
     tuned, trace = finetune(source_model, trial.support, cfg.finetune, trial.seeds["fda"])
-    bank = support_bank(tuned, trial.support.samples, trial.support.class_count)
+    bank = support_bank(tuned, trial.support)
     return Stage1Result(tuned=tuned, trace=trace, bank=bank)
 
 
@@ -343,7 +343,3 @@ def format_report(report: dict) -> str:
                      f"{row['delta_vs_baseline']:>+8.4f}  {row['total']:>8}")
     return "\n".join(lines)
 
-
-def report_csv_rows(report: dict) -> list:
-    return [{k: row[k] for k in ("method", "final_accuracy", "delta_vs_baseline", "total", "batches")}
-            for row in report["rows"]]

@@ -16,7 +16,7 @@ from fewshot_tta import cli, data, harness
 from fewshot_tta.cli import build_parser, main
 from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, load_config,
                                 seed_plan, serialize)
-from fewshot_tta.data import SampleRecord, read_dataset, write_dataset, write_json
+from fewshot_tta.data import SampleRecord, SupportSet, read_dataset, write_dataset, write_json
 from fewshot_tta.errors import ConfigError, DataError, NumericError, TruncatedFileError
 from fewshot_tta.model import load_model
 from fewshot_tta.stream import resolve_method
@@ -195,6 +195,22 @@ class TestAdapt:
                    "--method", "fs_tta", "--out", str(workspace / "x.json")])
         assert rc == 1
 
+    def test_support_with_unequal_counts_is_data_error(self, workspace, cfg_path, tmp_path,
+                                                       capsys):
+        """The support file that finetune refuses cannot seed a bank either."""
+        records = read_dataset(workspace / "data" / "support.ttad").records
+        last = max(i for i, rec in enumerate(records) if rec.label == 2)
+        wrong = tmp_path / "short.ttad"
+        write_dataset(wrong, records[:last] + records[last + 1:], num_classes=3)
+        rc = main(["adapt", "--config", cfg_path, "--model", str(workspace / "tuned.ttam"),
+                   "--stream", str(workspace / "data" / "stream.ttad"),
+                   "--support", str(wrong), "--method", "fs_tta",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert (f"{wrong}: support classes hold unequal sample counts {{0: 2, 1: 2, 2: 1}}; "
+                "each needs the same k") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [wrong]
+
     def test_unknown_method_is_config_error(self, workspace, cfg_path):
         rc = main(["adapt", "--config", cfg_path, "--model", str(workspace / "source.ttam"),
                    "--stream", str(workspace / "data" / "stream.ttad"),
@@ -244,7 +260,7 @@ class TestAdapt:
         cfg = replace(load_config(cfg_path), method=resolve_method(method))
         model = load_model(model_path)
         support = read_dataset(support_path)
-        bank = harness.support_bank(model, support.records, support.num_classes)
+        bank = harness.support_bank(model, SupportSet(support.records, support.num_classes))
         fields = harness.adapt_stream(cfg, cfg.method, model, read_dataset(stream_path).records,
                                       seed_plan(cfg)["stream"], bank)
         fields.pop("seconds")

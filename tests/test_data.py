@@ -9,6 +9,7 @@ from fewshot_tta.data import (
     BenchmarkConfig,
     DomainSpec,
     SampleRecord,
+    SupportSet,
     class_templates,
     gen_domain,
     generate_benchmark,
@@ -136,6 +137,30 @@ class TestSplitSupport:
         target = self.make_target(per_class=2)
         with pytest.raises(DataError, match="class 0"):
             split_support(target, 3, seed=0)
+
+
+class TestSupportSet:
+    def make_samples(self, counts):
+        return [SampleRecord(label=c, pixels=np.zeros((1, 2, 2)), domain_id=3)
+                for c, n in enumerate(counts) for _ in range(n)]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_k_is_read_off_the_split(self, k):
+        support, _ = split_support(TestSplitSupport().make_target(), k, seed=0)
+        assert support.k == k
+        assert support.class_count == 6
+
+    @pytest.mark.parametrize("counts, message", [
+        ([2, 2, 0], "support set missing class 2"),
+        ([2, 1, 2], r"unequal sample counts \{0: 2, 1: 1, 2: 2\}; each needs the same k")])
+    def test_class_without_k_samples_named(self, counts, message):
+        with pytest.raises(DataError, match=message):
+            SupportSet(self.make_samples(counts), class_count=3)
+
+    @pytest.mark.parametrize("class_count", [0, 3])
+    def test_empty_set_is_data_error(self, class_count):
+        with pytest.raises(DataError, match="empty"):
+            SupportSet([], class_count)
 
 
 class TestDatasetFile:

@@ -29,7 +29,7 @@ def _model(rng, num_classes=3, widths=(3, 4, 8, 8)):
 def _support(rng, k=2, num_classes=3, size=8):
     samples = [SampleRecord(label=c, pixels=rng.normal(size=(3, size, size)), domain_id=0)
                for c in range(num_classes) for _ in range(k)]
-    return SupportSet(samples=samples, k=k, class_count=num_classes)
+    return SupportSet(samples=samples, class_count=num_classes)
 
 
 def _separable_support(rng, k=3, num_classes=3, size=8):
@@ -38,7 +38,7 @@ def _separable_support(rng, k=3, num_classes=3, size=8):
     samples = [SampleRecord(label=c, pixels=base[c] + rng.normal(0.0, 0.05, size=(3, size, size)),
                             domain_id=0)
                for c in range(num_classes) for _ in range(k)]
-    return SupportSet(samples=samples, k=k, class_count=num_classes)
+    return SupportSet(samples=samples, class_count=num_classes)
 
 
 class TestFinetuneConfig:

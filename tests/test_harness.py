@@ -19,7 +19,9 @@ from fewshot_tta.harness import (METRICS_SCHEMA, build_report, build_source_mode
                                  make_trial, prepare_benchmark, run_all, run_method,
                                  run_stage1, sweep)
 from fewshot_tta.model import SourceConfig, predict
-from fewshot_tta.stream import AdaptConfig
+from fewshot_tta.stream import (AdaptConfig, adapt_batch, init_adapt_state, make_stream,
+                                run_baseline)
+from test_acceptance import _strip_timings
 
 
 def tiny_cfg(**over):
@@ -31,8 +33,8 @@ def tiny_cfg(**over):
             source_biases=((0.0, 0.0, 0.0), (0.1, -0.1, 0.0)),
             target_gain=(1.8, 0.5, 1.4), target_bias=(0.5, -0.4, 0.2)),
         source=SourceConfig(iters=150, lr=3e-3, batch_size=16),
-        finetune=FinetuneConfig(epochs=5, lr=1e-3, fda=FdaConfig(p_apply=1.0)),
-        adapt=AdaptConfig(batch_size=10, lr=1e-3))
+        finetune=FinetuneConfig(epochs=5, lr=3e-3, fda=FdaConfig(p_apply=1.0)),
+        adapt=AdaptConfig(batch_size=10, lr=3e-2))
     return dataclasses.replace(cfg, **over) if over else cfg
 
 
@@ -161,11 +163,60 @@ class TestRunAll:
         assert '"fs_tta"' in docs[0]
         assert docs[0] == docs[1]
 
+    def test_both_stages_move_the_score(self, pipeline):
+        """Stage 1 and stage 2 each change the online accuracy on tiny_cfg,
+        so the bitwise checks on its documents can see predictions move."""
+        cfg, _, model = pipeline
+        report = run_all(cfg, methods=["source_only", "ft_only", "ft_plus_entropy_min", "fs_tta"],
+                         source_model=model)
+        acc = {m: doc["final_accuracy"] for m, doc in report["methods"].items()}
+        assert acc["ft_only"] != acc["source_only"]
+        assert acc["ft_plus_entropy_min"] != acc["ft_only"]
+        assert acc["fs_tta"] != acc["ft_only"]
+
     def test_source_only_run_skips_stage1(self, pipeline):
         cfg, _, model = pipeline
         report = run_all(cfg, methods=["source_only"], source_model=model)
         assert report["stage1_accuracy"] is None
         assert report["stage1_trace"] is None
+
+
+class TestHygieneInvariants:
+    """Acceptance criterion 6's three checks, on tiny_cfg."""
+
+    @pytest.fixture(scope="class")
+    def staged(self, pipeline):
+        cfg, bench, model = pipeline
+        trial = make_trial(cfg, bench)
+        stream = make_stream(trial.remainder, cfg.adapt.batch_size, trial.seeds["stream"],
+                             cfg.stream_order)
+        return cfg, trial, stream, run_stage1(cfg, trial, model)
+
+    def test_shuffled_hidden_labels_change_only_the_score(self, staged):
+        cfg, trial, stream, stage1 = staged
+        labels = np.random.default_rng(7).permutation([r.label for r in trial.remainder])
+        shuffled = [dataclasses.replace(rec, label=int(lab))
+                    for rec, lab in zip(trial.remainder, labels)]
+        stream_shuffled = make_stream(shuffled, cfg.adapt.batch_size, trial.seeds["stream"],
+                                      cfg.stream_order)
+        model_a, model_b = stage1.tuned.copy(), stage1.tuned.copy()
+        a = run_baseline("fs_tta", model_a, stream, cfg.adapt, bank=stage1.bank.copy())
+        b = run_baseline("fs_tta", model_b, stream_shuffled, cfg.adapt, bank=stage1.bank.copy())
+        assert a.mask_total > 0
+        assert model_a.params_hash() == model_b.params_hash()
+        assert a.final_accuracy != b.final_accuracy
+
+    def test_prefix_replay(self, staged):
+        cfg, _, stream, stage1 = staged
+        full = init_adapt_state(stage1.tuned.copy(), stage1.bank.copy(), cfg.adapt)
+        preds_full = [adapt_batch(full, batch.inputs) for batch in stream]
+        prefix = init_adapt_state(stage1.tuned.copy(), stage1.bank.copy(), cfg.adapt)
+        for batch, preds in zip(stream[:2], preds_full):
+            assert np.array_equal(adapt_batch(prefix, batch.inputs), preds)
+
+    def test_master_seed_determinism(self):
+        docs = [run_all(tiny_cfg(), methods=("fs_tta", "entropy_min")) for _ in range(2)]
+        assert repr(_strip_timings(docs[0])) == repr(_strip_timings(docs[1]))
 
 
 class TestSweeps:

@@ -428,7 +428,7 @@ class TestTentBatch:
         dup = model.copy()
         support = SupportSet(samples=[SampleRecord(label=c, pixels=rng.normal(size=(3, 8, 8)),
                                                    domain_id=0) for c in (0, 1, 2, 3) * 2],
-                             k=2, class_count=4)
+                             class_count=4)
         tuned, _ = finetune(dup, support, FinetuneConfig(epochs=1, lr=1e-2,
                                                          fda=FdaConfig(p_apply=0.0)), 0)
         for name, p in tuned.params.items():

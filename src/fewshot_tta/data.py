@@ -86,6 +86,9 @@ class SupportSet:
         if not self.samples:
             raise DataError("support set is empty")
         counts = Counter(s.label for s in self.samples)
+        stray = [c for c in sorted(counts) if not 0 <= c < self.class_count]
+        if stray:
+            raise DataError(f"support label {stray[0]} out of range for {self.class_count} classes")
         if len(set(counts.values())) > 1:
             raise DataError(f"support classes hold unequal sample counts "
                             f"{dict(sorted(counts.items()))}; each needs the same k")
@@ -264,11 +267,12 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int) -> None:
     for rec in records:
         if not 0 <= rec.label < num_classes:
             raise DataError(f"label {rec.label} out of range for {num_classes} classes")
-        if not np.all(np.isfinite(rec.pixels)):
-            raise DataError("non-finite pixel values")
     table = np.empty(len(records), dtype=_record_dtype(c, h, w))
     table["label"] = [rec.label for rec in records]
-    table["pixels"] = np.stack([rec.pixels for rec in records])
+    with np.errstate(over="ignore"):  # a pixel beyond float32's range becomes inf, refused below
+        table["pixels"] = np.stack([rec.pixels for rec in records])
+    if not np.isfinite(table["pixels"]).all():
+        raise DataError("non-finite pixel values as float32")
     with atomic_open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(records), c, h, w,
                              num_classes, records[0].domain_id))

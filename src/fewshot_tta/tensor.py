@@ -224,14 +224,8 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-
-    def backward(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _result(out, (a, b), backward)
+    """a - b, which IEEE 754 defines as a + (-b): the same bits forward and backward."""
+    return add(a, neg(b))
 
 
 def mul(a, b) -> Tensor:
@@ -288,7 +282,8 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
-    a_data = as_tensor(a).data
+    a = as_tensor(a)
+    a_data = a.data
 
     def backward(g):
         return (g / a_data,)
@@ -327,9 +322,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
@@ -337,21 +330,11 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """The sum over ``axis`` divided by the count, as numpy's mean computes it: the same bits."""
     a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    shape = a.shape
-    count = a.data.size if axis is None else np.prod(
-        [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, shape).copy(),)
-
-    return _result(out, (a,), backward)
+    axes = range(a.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    count = np.prod([a.shape[ax] for ax in axes])
+    return div(tsum(a, axis, keepdims), float(count))
 
 
 def take_rows(a, indices) -> Tensor:

@@ -152,7 +152,8 @@ class TestSupportSet:
 
     @pytest.mark.parametrize("counts, message", [
         ([2, 2, 0], "support set missing class 2"),
-        ([2, 1, 2], r"unequal sample counts \{0: 2, 1: 1, 2: 2\}; each needs the same k")])
+        ([2, 1, 2], r"unequal sample counts \{0: 2, 1: 1, 2: 2\}; each needs the same k"),
+        ([2, 2, 2, 2], "support label 3 out of range for 3 classes")])
     def test_class_without_k_samples_named(self, counts, message):
         with pytest.raises(DataError, match=message):
             SupportSet(self.make_samples(counts), class_count=3)
@@ -263,6 +264,14 @@ class TestDatasetFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match="non-finite pixel"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_pixel_float32_cannot_hold_is_refused_before_the_file_opens(self, tmp_path, value):
+        records = self.make_records(3)
+        records[1].pixels[0, 1, 2] = value
+        with pytest.raises(DataError, match="non-finite pixel values"):
+            write_dataset(tmp_path / "w.ttad", records, num_classes=4)
+        assert list(tmp_path.iterdir()) == []
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "g.ttad"

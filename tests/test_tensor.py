@@ -16,15 +16,21 @@ from fewshot_tta.tensor import (
     conv2d,
     cosine_sim,
     cross_entropy,
+    exp,
     instance_norm,
+    log,
     matmul,
     mul,
+    neg,
     no_grad,
     relu,
     softmax,
     softmax_cross_entropy,
     softmax_entropy,
+    sqrt,
+    sub,
     take_rows,
+    tmean,
     tsum,
 )
 from fewshot_tta.tensor import _freed_backward, _normalize, _toposort, sample_chunks, unit_rows
@@ -32,10 +38,22 @@ from fewshot_tta.tensor import _freed_backward, _normalize, _toposort, sample_ch
 import oracles
 
 
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestBasics:
     def test_relu_definition(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("op, direct", [
+        (neg, np.negative), (sqrt, np.sqrt), (exp, np.exp), (log, np.log),
+        (relu, lambda v: np.maximum(v, 0.0))])
+    def test_unary_ops_take_plain_arrays(self, op, direct):
+        values = np.array([0.5, 1.0, 2.0])
+        assert _same_bits(op(values).data, direct(values))
 
     def test_mean_constant(self):
         t = Tensor(np.full((2, 3), 5.0))
@@ -78,6 +96,33 @@ class TestBasics:
         with pytest.raises(ValueError, match=r"scalar output, got shape \(2, 3\)"):
             (x * 2.0).backward()
         assert x.grad is None
+
+
+class TestDerivedOps:
+    """sub is add of a neg and tmean is tsum over a count; both keep the bits of
+    the direct forms, forward and in every leaf gradient."""
+
+    def test_sub_is_the_difference_and_its_gradients_the_closed_forms(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        g = rng.normal(size=(2, 3, 4))
+        out = sub(a, b)
+        assert _same_bits(out.data, a.data - b.data)
+        (out * Tensor(g)).sum().backward()
+        assert _same_bits(a.grad, g)
+        assert _same_bits(b.grad, (-g).sum(axis=0).sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis, count", [(None, 120), (1, 3), ((2, 3), 20)])
+    def test_tmean_is_numpy_mean_and_its_gradient_g_over_count(self, rng, axis, count, keepdims):
+        a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        out = tmean(a, axis, keepdims)
+        assert _same_bits(out.data, a.data.mean(axis=axis, keepdims=keepdims))
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        assert _same_bits(a.grad, np.broadcast_to(g / count, a.shape))
 
 
 class TestGraphRelease:

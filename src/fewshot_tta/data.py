@@ -130,22 +130,19 @@ def gen_domain(class_count: int, per_class_count: int, spec: DomainSpec,
     """Draw per_class_count samples per class in one domain's style.
 
     sample = gain * template(class) + bias + N(0, noise_std^2), per channel.
-    Pure function of (arguments, seeds); samples come out class-major.
+    Pure function of (arguments, seeds); samples come out class-major, each a
+    view of the domain's one block (drawn in one call, the values of per-sample draws).
     """
     if per_class_count < 1:
         raise ConfigError(f"per_class_count must be >= 1, got {per_class_count}")
     channels = spec.gain.shape[0]
     templates = class_templates(class_count, image_size, channels, template_seed)
+    styled = spec.gain[:, None, None] * templates + spec.bias[:, None, None]
     rng = np.random.default_rng(spec.seed)
-    gain = spec.gain[:, None, None]
-    bias = spec.bias[:, None, None]
-    records = []
-    for c in range(class_count):
-        styled = gain * templates[c] + bias
-        for _ in range(per_class_count):
-            noise = rng.normal(0.0, spec.noise_std, size=styled.shape)
-            records.append(SampleRecord(label=c, pixels=styled + noise, domain_id=spec.domain_id))
-    return records
+    pixels = rng.normal(0.0, spec.noise_std, size=(class_count, per_class_count, *styled.shape[1:]))
+    pixels += styled[:, None]
+    return [SampleRecord(label=c, pixels=pixels[c, i], domain_id=spec.domain_id)
+            for c in range(class_count) for i in range(per_class_count)]
 
 
 def split_support(target_data: list[SampleRecord], k: int, seed: int) -> tuple[SupportSet, list[SampleRecord]]:

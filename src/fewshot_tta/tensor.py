@@ -19,6 +19,8 @@ needs, each one checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import sys
 import warnings
 
 import numpy as np
@@ -26,6 +28,23 @@ import numpy as np
 from .errors import DegenerateSimilarityWarning
 
 _grad_enabled = True
+
+
+def _retain_freed_memory() -> None:
+    """Keep freed heap memory in the process (glibc; a no-op elsewhere).
+
+    Under glibc's default thresholds each step's multi-MB temporaries are unmapped
+    or trimmed when freed and faulted in again by the next step. Blocks below 64 MiB
+    (the largest is the 37.7 MB im2col at batch 64, 32 channels) come from the heap,
+    which is trimmed only above 1 GiB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_retain_freed_memory()
 
 
 @contextlib.contextmanager
@@ -231,10 +250,13 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     a_data, b_data = a.data, b.data
+    a_grad, b_grad = a.requires_grad, b.requires_grad
     out = a_data * b_data
 
     def backward(g):
-        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
+        ga = _unbroadcast(g * b_data, a_data.shape) if a_grad else None
+        gb = _unbroadcast(g * a_data, b_data.shape) if b_grad else None
+        return ga, gb
 
     return _result(out, (a, b), backward)
 
@@ -242,11 +264,12 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     a_data, b_data = a.data, b.data
+    a_grad, b_grad = a.requires_grad, b.requires_grad
     out = a_data / b_data
 
     def backward(g):
-        ga = _unbroadcast(g / b_data, a_data.shape)
-        gb = _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)
+        ga = _unbroadcast(g / b_data, a_data.shape) if a_grad else None
+        gb = _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape) if b_grad else None
         return ga, gb
 
     return _result(out, (a, b), backward)
@@ -294,7 +317,8 @@ def log(a) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
+    # only a graph reads the mask; graph-free inference skips writing it
+    mask = a.data > 0.0 if _grad_enabled and a.requires_grad else None
 
     def backward(g):
         return (g * mask,)

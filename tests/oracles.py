@@ -1,20 +1,23 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here except ``normalize_graph``, ``conv2d_input_grad_full`` and
-``adapt_batch_full_graph`` is written with explicit Python loops over plain
-floats, on purpose: these functions must not share any code path with the
-vectorized implementations they check. ``normalize_graph`` composes
-elementary autodiff ops, so that its gradients come from the chain rule
-rather than from the closed form it checks. ``conv2d_input_grad_full`` is the
-whole-batch formula that the sample-chunked conv2d input gradient must
-reproduce bit for bit. ``adapt_batch_full_graph`` is the whole-batch
-formulation of the fs_tta step that ``stream.adapt_batch`` must reproduce.
+Everything here except ``normalize_graph``, ``conv2d_input_grad_full``,
+``adapt_batch_full_graph`` and ``gen_domain_per_sample`` is written with
+explicit Python loops over plain floats, on purpose: these functions must not
+share any code path with the vectorized implementations they check.
+``normalize_graph`` composes elementary autodiff ops, so that its gradients
+come from the chain rule rather than from the closed form it checks.
+``conv2d_input_grad_full`` is the whole-batch formula that the sample-chunked
+conv2d input gradient must reproduce bit for bit. ``adapt_batch_full_graph``
+is the whole-batch formulation of the fs_tta step that ``stream.adapt_batch``
+must reproduce. ``gen_domain_per_sample`` draws a domain one sample at a time,
+which the one-block ``data.gen_domain`` must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from fewshot_tta.data import SampleRecord, class_templates
 from fewshot_tta.prototypes import ema_update, proto_classify
 from fewshot_tta.stream import consistency_mask, entropy_filter, online_loss, pseudo_label
 from fewshot_tta.tensor import _im2col, add, div, mul, reshape, softmax, sqrt, sub, take_rows, tmean
@@ -75,6 +78,19 @@ def adapt_batch_full_graph(model, bank, cfg, x):
     if loss is not None:
         loss.backward()
     return preds, sel, masks, None if loss is None else loss.item()
+
+
+def gen_domain_per_sample(class_count, per_class_count, spec, image_size, template_seed=0):
+    """One domain's records, class-major, each sample's noise drawn by its own call."""
+    templates = class_templates(class_count, image_size, spec.gain.shape[0], template_seed)
+    rng = np.random.default_rng(spec.seed)
+    records = []
+    for c in range(class_count):
+        styled = spec.gain[:, None, None] * templates[c] + spec.bias[:, None, None]
+        for _ in range(per_class_count):
+            noise = rng.normal(0.0, spec.noise_std, size=styled.shape)
+            records.append(SampleRecord(label=c, pixels=styled + noise, domain_id=spec.domain_id))
+    return records
 
 
 def channel_stats_loops(x):

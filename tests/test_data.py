@@ -1,5 +1,6 @@
 """Synthetic domain generator and TTAD round trips."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from fewshot_tta.data import (
     DomainSpec,
     SampleRecord,
     SupportSet,
+    benchmark_domains,
     class_templates,
     gen_domain,
     generate_benchmark,
@@ -28,6 +30,8 @@ from fewshot_tta.errors import (
     VersionMismatchError,
 )
 from fewshot_tta.tensor import Tensor, channel_stats
+
+import oracles
 
 
 def identity_spec(domain_id=0, channels=3, noise=0.0, seed=1):
@@ -71,6 +75,23 @@ class TestGeneration:
         for ra, rb in zip(a, b):
             assert ra.label == rb.label
             assert np.array_equal(ra.pixels, rb.pixels)
+
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_one_block_matches_per_sample_draws(self, edge):
+        """The default benchmark's domains (and a one-sample, noise-free edge
+        case) come out bitwise as one draw per sample would give them, and a
+        domain's records are views of one block."""
+        cfg = BenchmarkConfig(per_class_count=1) if edge else BenchmarkConfig()
+        sources, target = benchmark_domains(cfg, 0)
+        for spec in (*sources, target):
+            spec = dataclasses.replace(spec, noise_std=0.0) if edge else spec
+            got = gen_domain(cfg.class_count, cfg.per_class_count, spec, cfg.image_size, 4)
+            want = oracles.gen_domain_per_sample(cfg.class_count, cfg.per_class_count, spec,
+                                                 cfg.image_size, 4)
+            assert [(r.label, r.domain_id) for r in got] == [(r.label, r.domain_id) for r in want]
+            assert all(g.pixels.tobytes() == w.pixels.tobytes() for g, w in zip(got, want))
+            block = got[0].pixels.base
+            assert block is not None and all(r.pixels.base is block for r in got)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigError):

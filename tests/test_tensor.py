@@ -1,8 +1,15 @@
 """Numeric core: forward values against oracles, gradients against finite differences."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +23,7 @@ from fewshot_tta.tensor import (
     conv2d,
     cosine_sim,
     cross_entropy,
+    div,
     exp,
     instance_norm,
     log,
@@ -123,6 +131,72 @@ class TestDerivedOps:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         assert _same_bits(a.grad, np.broadcast_to(g / count, a.shape))
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("op", [mul, div])
+    def test_constant_side_gets_none_and_the_other_keeps_its_bits(self, rng, op):
+        a, b = rng.normal(size=(2, 3)), rng.uniform(1.0, 2.0, size=3)
+        g = rng.normal(size=(2, 3))
+        both = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        (op(*both) * Tensor(g)).sum().backward()
+        for side in (0, 1):
+            operands = [Tensor(a), Tensor(b)]
+            operands[side].requires_grad = True
+            grads = op(*operands)._backward_fn(g)
+            assert grads[1 - side] is None
+            assert _same_bits(grads[side], both[side].grad)
+
+
+class TestAllocatorPolicy:
+    """Freed heap memory stays in the process, so hot loops stop faulting."""
+
+    CHILD = textwrap.dedent("""
+        import json, resource, statistics
+        import numpy as np
+        from fewshot_tta.config import RunConfig
+        from fewshot_tta.harness import prepare_benchmark
+        from fewshot_tta.model import Backbone, SourceConfig, train_source
+        from fewshot_tta.optim import Adam
+
+        def minflt():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        cfg = RunConfig()
+        bench = prepare_benchmark(cfg)
+        model = Backbone(widths=cfg.widths, num_classes=bench.class_count, init_seed=0)
+        x = np.stack([r.pixels for r in bench.target_data[:640]])
+        infer = []
+        for i in range(0, len(x), 64):
+            before = minflt()
+            model.infer(x[i:i + 64], batch_stats=True)
+            infer.append(minflt() - before)
+        marks, step = [], Adam.step
+        def counted(self):
+            marks.append(minflt())
+            return step(self)
+        Adam.step = counted
+        train_source(bench.source_data, SourceConfig(iters=20, batch_size=32), 0,
+                     widths=cfg.widths, num_classes=bench.class_count)
+        print(json.dumps({"infer": statistics.median(infer[2:]),
+                          "source": statistics.median(np.diff(marks)[4:].tolist())}))
+    """)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="the allocator policy is set only under glibc on Linux")
+    def test_fresh_process_steps_take_almost_no_page_faults(self):
+        """Batch-statistics inference over 64-sample batches, then source steps
+        at batch 32, in a fresh interpreter: with glibc's default thresholds each
+        takes thousands of minor faults (its freed temporaries went back to the
+        OS), with the policy almost none after warm-up."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.run([sys.executable, "-c", self.CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        medians = json.loads(proc.stdout)
+        assert medians["infer"] < 50 and medians["source"] < 50, medians
 
 
 class TestGraphRelease:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .data import BenchmarkConfig, read_json
 from .errors import ConfigError
 from .finetune import FinetuneConfig
-from .model import SourceConfig
+from .model import SourceConfig, param_shapes
 from .seeding import sub_seed
 from .stream import AdaptConfig, resolve_method
 
@@ -52,6 +52,7 @@ class RunConfig:
         if self.widths[:1] != (self.data.channels,):
             raise ConfigError(f"widths[0] must equal the data's channel count "
                               f"{self.data.channels}, got widths {self.widths}")
+        param_shapes(self.widths, self.data.class_count)
 
     @property
     def effective_trial_seed(self) -> int:
@@ -118,16 +119,8 @@ def _build(cls, doc, where: str):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def parse(text: str) -> RunConfig:
-    """Inverse of serialize; parse(serialize(c)) == c for every valid c."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _build(RunConfig, doc, "config root")
-
-
 def load_config(path) -> RunConfig:
+    """The one config reader: a file holding serialize(c) loads as c."""
     return _build(RunConfig, read_json(path, ConfigError), "config root")
 
 

@@ -235,7 +235,7 @@ def read_json(path, error=DataError) -> dict:
     except ValueError as exc:  # also covers UnicodeDecodeError and JSONDecodeError
         raise error(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise error(f"{path}: the JSON root must be an object, got {type(doc).__name__}")
     return doc
 
 
@@ -328,6 +328,8 @@ class BenchmarkConfig:
         if any(len(s) != self.channels for s in styles):
             raise ConfigError(f"every gain and bias needs {self.channels} channel values, "
                               f"got lengths {[len(s) for s in styles]}")
+        if not np.all(np.isfinite([*np.ravel(styles), self.target_noise_std])):
+            raise ConfigError("every gain, bias and noise value must be finite")
 
     @property
     def channels(self) -> int:

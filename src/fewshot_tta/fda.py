@@ -94,7 +94,7 @@ def fda_transform(features, plan: FdaPlan, eps: float = EPS) -> Tensor:
     mu_j = take_rows(mu, plan.pairing)
     sig_j = take_rows(sigma, plan.pairing)
     lam = Tensor(plan.lambdas[:, None])
-    one_minus = 1.0 - lam
+    one_minus = Tensor(1.0 - plan.lambdas[:, None])
     beta_mix = lam * mu + one_minus * mu_j
     gamma_mix = lam * sigma + one_minus * sig_j
     col = (features.shape[0], features.shape[1], 1, 1)

@@ -35,8 +35,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
 def finetune(model: Backbone, support: SupportSet, cfg: FinetuneConfig, seed: int):

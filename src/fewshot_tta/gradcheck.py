@@ -8,6 +8,9 @@ import numpy as np
 
 from .tensor import Tensor, no_grad
 
+# the central-difference step
+H = 1e-5
+
 
 @dataclass
 class FiniteDiffReport:
@@ -27,20 +30,17 @@ class FiniteDiffReport:
 def _rel_err(a: float, n: float) -> float:
     scale = max(abs(a), abs(n))
     diff = abs(a - n)
-    # Below this scale the h^2 truncation noise dominates any relative measure.
+    # Below this scale the H^2 truncation noise dominates any relative measure.
     if scale < 1e-6:
         return diff
     return diff / scale
 
 
-def finite_diff_check(fn, params: dict[str, Tensor], h: float = 1e-5,
-                      max_coords_per_param: int | None = None,
-                      rng: np.random.Generator | None = None) -> FiniteDiffReport:
+def finite_diff_check(fn, params: dict[str, Tensor]) -> FiniteDiffReport:
     """Compare analytic gradients of a scalar function to central differences.
 
     ``fn`` must be a deterministic zero-argument callable returning a scalar
-    Tensor computed from ``params``. Every coordinate is probed unless
-    ``max_coords_per_param`` caps the count (sampled with ``rng``).
+    Tensor computed from ``params``. Every coordinate is probed, at step H.
     """
     for p in params.values():
         p.grad = None
@@ -54,24 +54,17 @@ def finite_diff_check(fn, params: dict[str, Tensor], h: float = 1e-5,
     worst = FiniteDiffReport(0.0, "", (), 0.0, 0.0, 0)
     for name, p in params.items():
         flat = p.data.reshape(-1)
-        n_coords = flat.size
-        if max_coords_per_param is not None and n_coords > max_coords_per_param:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(n_coords, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n_coords)
         a_flat = analytic[name].reshape(-1)
-        for c in coords:
+        for c in range(flat.size):
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + H
             with no_grad():
                 f_plus = fn().item()
-            flat[c] = orig - h
+            flat[c] = orig - H
             with no_grad():
                 f_minus = fn().item()
             flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * H)
             err = _rel_err(a_flat[c], numeric)
             worst.coords_checked += 1
             if err > worst.max_rel_err:

@@ -296,6 +296,9 @@ def check_comparable(docs: list, paths=None, force: bool = False) -> None:
                            ("num_classes", (int,)), ("total", (int,))):
             if type(doc.get(key)) not in types:
                 raise DataError(f"{path}: metrics field {key!r} missing or mistyped: {doc.get(key)!r}")
+        for key, kind in (("curve", list), ("data_hash", str), ("comparison_hash", str)):
+            if key in doc and type(doc[key]) is not kind:
+                raise DataError(f"{path}: metrics field {key!r} mistyped: {doc[key]!r}")
     classes = {doc["num_classes"] for doc in docs}
     if len(classes) > 1:
         offender = paths[[doc["num_classes"] for doc in docs].index(sorted(classes)[1])]
@@ -303,11 +306,9 @@ def check_comparable(docs: list, paths=None, force: bool = False) -> None:
     if force:
         return
     for key in ("data_hash", "comparison_hash"):
-        seen = {}
-        for doc, path in zip(docs, paths):
-            seen.setdefault(doc.get(key), []).append(path)
-        if len(seen) > 1:
-            raise DataError(f"mixed {key} across inputs ({len(seen)} distinct); "
+        distinct = {doc.get(key) for doc in docs}
+        if len(distinct) > 1:
+            raise DataError(f"mixed {key} across inputs ({len(distinct)} distinct); "
                             "pass --force to compare anyway")
 
 

@@ -196,8 +196,8 @@ class SourceConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ConfigError(f"iters must be >= 0, got {self.iters}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 

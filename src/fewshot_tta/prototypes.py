@@ -47,7 +47,7 @@ class PrototypeBank:
                              self.update_counts.copy(), self.t)
 
 
-def init_bank(embeddings, labels, class_count: int, ema_beta: float = EMA_BETA) -> PrototypeBank:
+def init_bank(embeddings, labels, class_count: int) -> PrototypeBank:
     """Build the bank as per-class means of the support embeddings.
 
     Every class must appear at least once; the offender is named otherwise.
@@ -64,7 +64,7 @@ def init_bank(embeddings, labels, class_count: int, ema_beta: float = EMA_BETA) 
         if members.shape[0] == 0:
             raise DataError(f"class {c} has no support samples")
         protos[c] = members.mean(axis=0)
-    return PrototypeBank(protos, ema_beta=ema_beta)
+    return PrototypeBank(protos)
 
 
 def ema_update(bank: PrototypeBank, embeddings, pseudo_labels) -> PrototypeBank:

@@ -64,8 +64,8 @@ class AdaptConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass

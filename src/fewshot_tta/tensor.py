@@ -156,9 +156,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 

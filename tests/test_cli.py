@@ -342,6 +342,18 @@ class TestReport:
         assert main(["report", str(path)]) == 2
         assert "missing or mistyped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("curve", 5), ("data_hash", [1]), ("comparison_hash", {"x": 1})])
+    def test_mistyped_curve_or_hash_is_data_error(self, tmp_path, capsys, field, value):
+        # bit flips keep a value's JSON type, so the fuzz test cannot reach these
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": harness.METRICS_SCHEMA, "method": "erm",
+                                    "final_accuracy": 0.5, "num_classes": 3, "total": 10,
+                                    "curve": [0.5], "data_hash": "d", "comparison_hash": "c",
+                                    field: value}))
+        assert main(["report", str(path), str(path)]) == 2
+        assert f"metrics field {field!r} mistyped" in capsys.readouterr().err
+
     def test_non_utf8_metrics_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_bytes(b'{"method": "\xa0"}')
@@ -518,6 +530,34 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: widths[0] must equal the data's channel count 3")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"adapt": {"lr": float("inf")}}, "lr must be positive and finite, got inf"),
+        ({"finetune": {"lr": float("nan")}}, "lr must be positive and finite, got nan"),
+        ({"data": {"target_noise_std": float("nan")}}, "every gain, bias and noise value"),
+        ({"widths": [3, 8]}, "widths must be 4 positive channel counts")])
+    @pytest.mark.parametrize("command", ["run-all", "sweep"])
+    def test_non_finite_or_bad_architecture_config_exits_one_before_any_data(
+            self, tmp_path, capsys, monkeypatch, doc, message, command):
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda *a: pytest.fail("generated data"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
+        args = ["--axis", "alpha"] if command == "sweep" else []
+        rc = main([command, "--config", str(path), *args, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("finetune", "--lr", "nan"), ("finetune", "--lr", "inf"), ("adapt", "--alpha", "nan")])
+    def test_non_finite_flag_exits_one_before_any_read(self, tmp_path, capsys, command, flag,
+                                                        value):
+        # every input path is missing, so a reader that ran would exit 2
+        required = [str(tmp_path / a) if not a.startswith("--") else a
+                    for a in _REQUIRED[command]]
+        assert main([command, *required, flag, value]) == 1
+        assert re.match(r"error: (lr|alpha) must be", capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("k", ["12", "13"])
     def test_k_without_a_stream_exits_one_before_any_data(self, cfg_path, tmp_path, capsys,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, override, parse,
+from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, override,
                                 seed_plan, serialize)
 from fewshot_tta.data import BenchmarkConfig
 from fewshot_tta.errors import ConfigError
@@ -26,39 +26,39 @@ def _custom():
 
 
 class TestRoundTrip:
-    def test_default_config(self):
+    def test_default_config(self, read_config):
         cfg = RunConfig()
-        assert parse(serialize(cfg)) == cfg
+        assert read_config(serialize(cfg)) == cfg
 
-    def test_custom_config(self):
+    def test_custom_config(self, read_config):
         cfg = _custom()
-        assert parse(serialize(cfg)) == cfg
+        assert read_config(serialize(cfg)) == cfg
 
-    def test_hash_survives_round_trip(self):
+    def test_hash_survives_round_trip(self, read_config):
         cfg = _custom()
-        assert config_hash(parse(serialize(cfg))) == config_hash(cfg)
+        assert config_hash(read_config(serialize(cfg))) == config_hash(cfg)
 
     def test_different_configs_different_hash(self):
         assert config_hash(RunConfig()) != config_hash(RunConfig(master_seed=1))
 
-    def test_tuples_restored(self):
-        cfg = parse(serialize(_custom()))
+    def test_tuples_restored(self, read_config):
+        cfg = read_config(serialize(_custom()))
         assert isinstance(cfg.widths, tuple)
         assert isinstance(cfg.data.source_gains[0], tuple)
 
 
 class TestValidation:
-    def test_bad_json_rejected(self):
+    def test_bad_json_rejected(self, read_config):
         with pytest.raises(ConfigError, match="JSON"):
-            parse("{not json")
+            read_config("{not json")
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, read_config):
         with pytest.raises(ConfigError, match="unknown"):
-            parse('{"master_seeed": 3}')
+            read_config('{"master_seeed": 3}')
 
-    def test_unknown_nested_key_rejected(self):
+    def test_unknown_nested_key_rejected(self, read_config):
         with pytest.raises(ConfigError, match="unknown"):
-            parse('{"adapt": {"alhpa": 0.5}}')
+            read_config('{"adapt": {"alhpa": 0.5}}')
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError, match="method"):
@@ -68,21 +68,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k must"):
             RunConfig(k=0)
 
-    def test_bad_ema_rejected(self):
+    def test_bad_ema_rejected(self, read_config):
         # ema_beta is the constant prototypes.EMA_BETA, not a key, so setting it fails by name
         with pytest.raises(ConfigError, match=r"unknown RunConfig keys: \['ema_beta'\]"):
-            parse('{"ema_beta": 1.5}')
+            read_config('{"ema_beta": 1.5}')
 
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError, match="stream_order"):
             RunConfig(stream_order="interleaved")
 
     @pytest.mark.parametrize("widths", [(1, 4, 8, 8), (4, 16, 32, 32), ()])
-    def test_first_width_must_match_data_channels(self, widths):
+    def test_first_width_must_match_data_channels(self, widths, read_config):
         with pytest.raises(ConfigError, match=r"widths\[0\] must equal the data's channel count 3"):
             RunConfig(widths=widths)
         with pytest.raises(ConfigError, match=r"widths\[0\]"):
-            parse(json.dumps({"widths": list(widths)}))
+            read_config(json.dumps({"widths": list(widths)}))
 
     @pytest.mark.parametrize("text,match", [
         ('{"widths": 5}', "RunConfig"),
@@ -104,9 +104,9 @@ class TestValidation:
         ('{"finetune": {"fda": {"enabled": 1}}}', r"unknown FdaConfig keys: \['enabled'\]"),
         ('{"adapt": {"groups": ["conv", 3]}}', r"unknown AdaptConfig keys: \['groups'\]"),
     ])
-    def test_mistyped_value_is_config_error(self, text, match):
+    def test_mistyped_value_is_config_error(self, text, match, read_config):
         with pytest.raises(ConfigError, match=match):
-            parse(text)
+            read_config(text)
 
     @pytest.mark.parametrize("text,match", [
         ('{"source": {"iters": -1}}', "iters must be >= 0"),
@@ -119,10 +119,24 @@ class TestValidation:
         ('{"adapt": {"groups": ["cnov"]}}', r"unknown AdaptConfig keys: \['groups'\]"),
         ('{"finetune": {"groups": ["head", "nrom_affine"]}}',
          r"unknown FinetuneConfig keys: \['groups'\]"),
+        # Python's json reads NaN and Infinity, so every float must be checked finite
+        ('{"source": {"lr": NaN}}', "lr must be positive and finite, got nan"),
+        ('{"finetune": {"lr": Infinity}}', "lr must be positive and finite, got inf"),
+        ('{"adapt": {"lr": NaN}}', "lr must be positive and finite, got nan"),
+        ('{"adapt": {"lr": Infinity}}', "lr must be positive and finite, got inf"),
+        ('{"data": {"target_noise_std": NaN}}', "noise value must be finite"),
+        ('{"data": {"target_gain": [1, Infinity, 1]}}', "noise value must be finite"),
+        ('{"data": {"target_bias": [0, 0, -Infinity]}}', "noise value must be finite"),
+        ('{"data": {"source_gains": [[1, 1, 1], [NaN, 1, 1]]}}', "noise value must be finite"),
+        ('{"data": {"source_biases": [[0, 0, 0], [0, Infinity, 0]]}}', "noise value must be finite"),
+        # the architecture is checked when the config is read, not when the model is built
+        ('{"widths": [3, 8]}', r"widths must be 4 positive channel counts, got \(3, 8\)"),
+        ('{"widths": [3, 16, 0, 32]}', "widths must be 4 positive channel counts"),
+        ('{"data": {"class_count": 1}}', "num_classes must be >= 2, got 1"),
     ])
-    def test_out_of_range_value_is_config_error(self, text, match):
+    def test_out_of_range_value_is_config_error(self, text, match, read_config):
         with pytest.raises(ConfigError, match=match):
-            parse(text)
+            read_config(text)
 
     @pytest.mark.parametrize("section,key", [
         ("data", "master_seed"), ("data", "channels"), ("source", "seed"), ("finetune", "seed"),
@@ -130,7 +144,7 @@ class TestValidation:
         ("finetune", "groups"), ("finetune.fda", "enabled"), ("finetune.fda", "sites"),
         ("finetune.fda", "detach_mixed"), ("source", "log_every"),
         ("finetune.fda", "alpha_beta"), ("finetune.fda", "eps"), ("data", "source_noise_std")])
-    def test_seed_and_channel_keys_are_unknown(self, section, key):
+    def test_seed_and_channel_keys_are_unknown(self, section, key, read_config):
         """Keys RunConfig no longer has fail by name; section is a dotted path."""
         doc, text = json.loads(serialize(RunConfig())), {key: 0}
         for name in section.split("."):
@@ -139,16 +153,16 @@ class TestValidation:
             text = {name: text}
         assert key not in doc
         with pytest.raises(ConfigError, match=f"unknown .* keys: \\['{key}'\\]"):
-            parse(json.dumps(text))
+            read_config(json.dumps(text))
 
-    def test_floats_take_ints_and_trial_seed_takes_null(self):
-        cfg = parse('{"adapt": {"alpha": 1}, "finetune": {"fda": {"p_apply": 0}}, '
-                    '"trial_seed": null}')
+    def test_floats_take_ints_and_trial_seed_takes_null(self, read_config):
+        cfg = read_config('{"adapt": {"alpha": 1}, "finetune": {"fda": {"p_apply": 0}}, '
+                          '"trial_seed": null}')
         assert cfg.adapt.alpha == 1 and cfg.finetune.fda.p_apply == 0 and cfg.trial_seed is None
-        assert parse('{"trial_seed": 3}').trial_seed == 3
+        assert read_config('{"trial_seed": 3}').trial_seed == 3
 
-    def test_partial_config_fills_defaults(self):
-        cfg = parse('{"k": 3}')
+    def test_partial_config_fills_defaults(self, read_config):
+        cfg = read_config('{"k": 3}')
         assert cfg.k == 3
         assert cfg.master_seed == RunConfig().master_seed
 
@@ -197,11 +211,11 @@ class TestSeedPlan:
 
 
 class TestDescribe:
-    def test_config_document_and_hash(self):
+    def test_config_document_and_hash(self, read_config):
         cfg = _custom()
         doc = describe(cfg)
         assert doc == {"config": json.loads(serialize(cfg)), "config_hash": config_hash(cfg)}
-        assert parse(json.dumps(doc["config"])) == cfg
+        assert read_config(json.dumps(doc["config"])) == cfg
 
 
 class TestFileHash:
@@ -218,11 +232,15 @@ class TestOverride:
         assert override(cfg, "finetune.fda.p_apply", 0.8) == _custom()
 
     @pytest.mark.parametrize("path, value, match", [
-        ("adapt.alpha", 1.5, "alpha"), ("k", 0, "k must"), ("method", "sgd", "method")])
+        ("adapt.alpha", 1.5, "alpha"), ("k", 0, "k must"), ("method", "sgd", "method"),
+        ("source.lr", float("nan"), "lr must be positive and finite"),
+        ("finetune.lr", float("nan"), "lr must be positive and finite"),
+        ("adapt.lr", float("inf"), "lr must be positive and finite"),
+        ("widths", (3, 8), "widths must be 4"), ("data.class_count", 1, "num_classes")])
     def test_post_init_validates_the_new_value(self, path, value, match):
         with pytest.raises(ConfigError, match=match):
             override(RunConfig(), path, value)
 
-    def test_method_alias_is_stored_resolved(self):
+    def test_method_alias_is_stored_resolved(self, read_config):
         assert override(RunConfig(), "method", "tent").method == "entropy_min"
-        assert parse('{"method": "bn"}').method == "norm_stat"
+        assert read_config('{"method": "bn"}').method == "norm_stat"

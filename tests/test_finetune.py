@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from fewshot_tta.config import parse
 from fewshot_tta.data import SampleRecord, SupportSet, write_csv
 from fewshot_tta.errors import ConfigError, DataError, NumericError
 from fewshot_tta.fda import FdaConfig
@@ -50,10 +49,10 @@ class TestFinetuneConfig:
         with pytest.raises(ConfigError, match="lr"):
             FinetuneConfig(lr=0.0)
 
-    def test_bad_batch_rejected(self):
+    def test_bad_batch_rejected(self, read_config):
         # the batch size is the constant BATCH_SIZE, not a key, so setting it fails by name
         with pytest.raises(ConfigError, match=r"unknown FinetuneConfig keys: \['batch_size'\]"):
-            parse('{"finetune": {"batch_size": 0}}')
+            read_config('{"finetune": {"batch_size": 0}}')
 
 
 class TestFinetune:

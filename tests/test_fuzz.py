@@ -2,17 +2,17 @@
 
 Truncations and single-bit flips of a TTAD stream and a TTAM model (read by
 ``fewshot-tta adapt``), of a metrics document (read by ``report``) and of a
-config (read by ``config.parse`` and ``load_config``) may only end in exit
-code 0, 1 or 2, or a ConfigError from the config readers. An exception that
-escapes fails the test. The mutants come from a plain numpy generator, so a
-failure reproduces from its seed and index.
+config (read by ``load_config``) may only end in exit code 0, 1 or 2, or a
+ConfigError from the config reader. An exception that escapes fails the
+test. The mutants come from a plain numpy generator, so a failure
+reproduces from its seed and index.
 """
 
 import numpy as np
 import pytest
 
 from fewshot_tta.cli import main
-from fewshot_tta.config import RunConfig, load_config, parse, serialize
+from fewshot_tta.config import RunConfig, load_config, serialize
 from fewshot_tta.data import SampleRecord, write_dataset
 from fewshot_tta.errors import ConfigError
 from fewshot_tta.model import Backbone, save_model
@@ -90,18 +90,17 @@ def test_report_survives_mutated_metrics(inputs, tmp_path, capsys):
 
 def test_config_readers_survive_mutated_configs(inputs, tmp_path):
     blob = (inputs / "cfg.json").read_bytes()
-    # a one-bit flip inside a value: it must parse, whatever the config's length
+    # a one-bit flip inside a value: it must load, whatever the config's length
     value_only = blob.replace(b'"master_seed": 0', b'"master_seed": 1')
     assert value_only != blob
     parsed = []
     for mutant in [value_only, *_mutants(blob, 5, header=False)]:
         path = tmp_path / "cfg.json"
         path.write_bytes(mutant)
-        for read in (load_config, lambda p: parse(p.read_bytes().decode("utf-8", "replace"))):
-            try:
-                assert isinstance(read(path), RunConfig)
-                parsed.append(True)
-            except ConfigError:
-                parsed.append(False)
-    assert parsed[:2] == [True, True] and not all(parsed[2:])
+        try:
+            assert isinstance(load_config(path), RunConfig)
+            parsed.append(True)
+        except ConfigError:
+            parsed.append(False)
+    assert parsed[0] and not all(parsed[1:])
 

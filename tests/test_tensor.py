@@ -623,8 +623,8 @@ class TestCosineSim:
         assert np.allclose(np.linalg.norm(u[[0, 2, 3]], axis=1), 1.0, atol=1e-15)
 
 
-def _check(fn, params, tol=1e-4, h=1e-5):
-    report = finite_diff_check(fn, params, h=h)
+def _check(fn, params, tol=1e-4):
+    report = finite_diff_check(fn, params)
     assert report.ok(tol), (
         f"max rel err {report.max_rel_err:.3e} at {report.worst_param}{report.worst_index}: "
         f"analytic {report.analytic_at_worst:.6e} vs numeric {report.numeric_at_worst:.6e}"

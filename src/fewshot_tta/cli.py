@@ -3,7 +3,7 @@
 Subcommands: gen-data, train-source, finetune, adapt, sweep, report,
 run-all. Every artifact gets a JSON sidecar embedding the producing config
 and content hashes. Exit codes: 1 configuration error, 2 data error,
-3 numeric failure.
+3 numeric failure, 130 interrupted (Ctrl-C; no half-written file is left).
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _write_model(path, model, cfg: RunConfig, **fields) -> None:
+    """Save a model, and beside it a sidecar with the config, its params_hash and fields."""
+    save_model(path, model)
+    write_json(str(path) + ".sidecar.json",
+               {**describe(cfg), "params_hash": model.params_hash().hex(), **fields})
+
+
 def _read_sources(data_dir) -> tuple[list[Dataset], list[Path]]:
     paths = sorted(Path(data_dir).glob("source*.ttad"))
     if not paths:
@@ -83,13 +90,8 @@ def cmd_train_source(args) -> int:
                                 seed_plan(cfg)["init"], widths=cfg.widths,
                                 num_classes=classes.pop())
     seconds = time.perf_counter() - t0
-    save_model(args.out, model)
-    write_json(str(args.out) + ".sidecar.json", {
-        **describe(cfg), "data_hash": "+".join(file_sha256(p) for p in paths),
-        "final_loss": curve[-1][1] if curve else None,
-        "params_hash": model.params_hash().hex(),
-        "seconds": seconds,
-    })
+    _write_model(args.out, model, cfg, data_hash="+".join(file_sha256(p) for p in paths),
+                 final_loss=curve[-1][1] if curve else None, seconds=seconds)
     print(f"trained source model ({seconds:.1f}s), wrote {args.out}")
     return 0
 
@@ -101,16 +103,10 @@ def cmd_finetune(args) -> int:
     t0 = time.perf_counter()
     tuned, trace = finetune(model, support, cfg.finetune, seed_plan(cfg)["fda"])
     seconds = time.perf_counter() - t0
-    save_model(args.out, tuned)
-    trace_path = args.trace or str(args.out) + ".trace.csv"
-    write_csv(trace_path, ["epoch", "loss", "support_acc"], trace)
-    write_json(str(args.out) + ".sidecar.json", {
-        **describe(cfg), "data_hash": file_sha256(args.support),
-        "support_size": len(support.samples), "k": support.k,
-        "params_hash": tuned.params_hash().hex(),
-        "final_support_acc": trace[-1]["support_acc"] if trace else None,
-        "seconds": seconds,
-    })
+    _write_model(args.out, tuned, cfg, data_hash=file_sha256(args.support),
+                 support_size=len(support.samples), k=support.k,
+                 final_support_acc=trace[-1]["support_acc"] if trace else None, seconds=seconds)
+    write_csv(args.trace or str(args.out) + ".trace.csv", ["epoch", "loss", "support_acc"], trace)
     print(f"fine-tuned for {cfg.finetune.epochs} epochs ({seconds:.1f}s), wrote {args.out}")
     return 0
 
@@ -275,6 +271,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -286,8 +286,6 @@ def read_dataset(path) -> Dataset:
         raise TruncatedFileError(f"{path}: expected {expected} bytes for {n} records, got {len(raw)}")
     if len(raw) > expected:
         raise DataFormatError(f"{path}: {len(raw) - expected} trailing bytes after {n} records")
-    if n == 0:
-        return Dataset(records=[], num_classes=num_classes, domain_id=domain_id)
     # the size check above bounds c * h * w, so the record dtype is small
     table = np.frombuffer(raw, dtype=_record_dtype(c, h, w), count=n, offset=_HEADER.size)
     labels = table["label"]
@@ -330,6 +328,9 @@ class BenchmarkConfig:
                               f"got lengths {[len(s) for s in styles]}")
         if not np.all(np.isfinite([*np.ravel(styles), self.target_noise_std])):
             raise ConfigError("every gain, bias and noise value must be finite")
+        if not self.source_gains or len(self.source_gains) != len(self.source_biases):
+            raise ConfigError(f"source_gains and source_biases need one style per source domain, "
+                              f"got {len(self.source_gains)} and {len(self.source_biases)}")
 
     @property
     def channels(self) -> int:

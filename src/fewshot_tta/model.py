@@ -167,14 +167,13 @@ class Backbone:
         alone, so the network runs over ``sample_chunks`` and a chunk's
         activations stay in cache; the result is bitwise that of one
         whole-batch forward. Batch statistics pool over the whole batch, so
-        that path runs one forward (its convolutions still go in chunks).
+        that path runs one forward (its convolutions still go in chunks), and
+        so does input of a shape that ``forward`` refuses.
         """
         x = np.asarray(x, dtype=np.float64)
+        chunks = [...] if batch_stats or x.ndim != 4 else sample_chunks(len(x), *x.shape[2:])
         with no_grad():
-            if batch_stats or x.ndim != 4:
-                emb, logits = self.forward(x, mode="eval", batch_stats=batch_stats)
-                return emb.data, logits.data
-            parts = [self.forward(x[s], mode="eval") for s in sample_chunks(len(x), *x.shape[2:])]
+            parts = [self.forward(x[s], mode="eval", batch_stats=batch_stats) for s in chunks]
         return (np.concatenate([emb.data for emb, _ in parts]),
                 np.concatenate([logits.data for _, logits in parts]))
 

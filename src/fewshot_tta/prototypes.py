@@ -54,7 +54,7 @@ def init_bank(embeddings, labels, class_count: int) -> PrototypeBank:
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if emb.ndim != 2 or emb.shape[0] != y.shape[0]:
+    if emb.ndim != 2 or y.shape != emb.shape[:1]:
         raise DataError(f"embeddings {emb.shape} do not align with labels {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= class_count):
         raise DataError(f"label out of range for {class_count} classes")

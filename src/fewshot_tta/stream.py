@@ -129,12 +129,8 @@ def entropy_filter(batch_probs, alpha: float) -> np.ndarray:
     if probs.ndim != 2:
         raise DataError(f"batch_probs must be B x C, got shape {probs.shape}")
     b = probs.shape[0]
-    take = selected_count(alpha, b)
-    if take == 0:
-        return np.empty(0, dtype=np.intp)
-    ent = entropy(probs)
-    ranked = np.lexsort((np.arange(b), ent))
-    return np.sort(ranked[:take])
+    ranked = np.lexsort((np.arange(b), entropy(probs)))
+    return np.sort(ranked[:selected_count(alpha, b)])
 
 
 def pseudo_label(logits) -> np.ndarray:

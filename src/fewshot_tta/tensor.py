@@ -531,26 +531,30 @@ def cross_entropy(probs, label: int) -> Tensor:
     return _result(out, (probs,), backward)
 
 
+def _stable_softmax(logits, op: str):
+    """The N x C logits tensor, its data z, and z's row-max-shifted logsumexp and softmax."""
+    logits = as_tensor(logits)
+    if logits.ndim != 2:
+        raise ValueError(f"{op} expects N x C logits, got shape {logits.shape}")
+    z = logits.data
+    zmax = z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    return logits, z, lse, np.exp(z - lse[:, None])
+
+
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Fused softmax + cross-entropy from logits: the mean loss over a batch.
 
     ``logits`` is N x C, ``labels`` length N.
     """
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy expects N x C logits, got shape {logits.shape}")
+    logits, z, lse, probs = _stable_softmax(logits, "softmax_cross_entropy")
     y = np.asarray(labels, dtype=np.intp)
     n, c = logits.shape
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match batch size {n}")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValueError(f"label out of range for {c} classes: {y[(y < 0) | (y >= c)][0]}")
-
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
     losses = lse - z[np.arange(n), y]
-    probs = np.exp(z - lse[:, None])
 
     def backward(g):
         delta = probs.copy()
@@ -569,13 +573,7 @@ def softmax_entropy(logits) -> Tensor:
     differently, and the entropy-minimization baselines' results rest on
     these bits.
     """
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ValueError(f"softmax_entropy expects N x C logits, got shape {logits.shape}")
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
-    probs = np.exp(z - lse[:, None])
+    logits, z, lse, probs = _stable_softmax(logits, "softmax_entropy")
     s = (probs * z).sum(axis=1)
     ent = lse - s
 

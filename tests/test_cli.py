@@ -472,6 +472,18 @@ class TestExitCodes:
         assert main(["transmogrify"]) == 1
         capsys.readouterr()
 
+    def test_interrupt_exits_130_leaving_no_file(self, workspace, tmp_path, capsys, monkeypatch):
+        def interrupted_dump(doc, fh, **kwargs):  # Ctrl-C partway through the metrics file
+            fh.write('{"method": ')
+            raise KeyboardInterrupt
+        monkeypatch.setattr(data.json, "dump", interrupted_dump)
+        rc = main(["adapt", "--model", str(workspace / "source.ttam"),
+                   "--stream", str(workspace / "data" / "stream.ttad"), "--method", "erm",
+                   "--out", str(tmp_path / "erm.json")])
+        assert rc == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file_is_data_error(self, tmp_path):
         rc = main(["gen-data", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "d")])
@@ -535,7 +547,9 @@ class TestExitCodes:
         ({"adapt": {"lr": float("inf")}}, "lr must be positive and finite, got inf"),
         ({"finetune": {"lr": float("nan")}}, "lr must be positive and finite, got nan"),
         ({"data": {"target_noise_std": float("nan")}}, "every gain, bias and noise value"),
-        ({"widths": [3, 8]}, "widths must be 4 positive channel counts")])
+        ({"widths": [3, 8]}, "widths must be 4 positive channel counts"),
+        ({"data": {"source_biases": [[0, 0, 0]]}}, "source_gains and source_biases need one"),
+        ({"data": {"source_gains": [], "source_biases": []}}, "source_gains and source_biases")])
     @pytest.mark.parametrize("command", ["run-all", "sweep"])
     def test_non_finite_or_bad_architecture_config_exits_one_before_any_data(
             self, tmp_path, capsys, monkeypatch, doc, message, command):

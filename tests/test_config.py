@@ -129,6 +129,10 @@ class TestValidation:
         ('{"data": {"target_bias": [0, 0, -Infinity]}}', "noise value must be finite"),
         ('{"data": {"source_gains": [[1, 1, 1], [NaN, 1, 1]]}}', "noise value must be finite"),
         ('{"data": {"source_biases": [[0, 0, 0], [0, Infinity, 0]]}}', "noise value must be finite"),
+        # every source domain takes one gain and one bias, and there is at least one domain
+        ('{"data": {"source_biases": [[0, 0, 0]]}}',
+         "source_gains and source_biases need one style per source domain, got 3 and 1"),
+        ('{"data": {"source_gains": [], "source_biases": []}}', "got 0 and 0"),
         # the architecture is checked when the config is read, not when the model is built
         ('{"widths": [3, 8]}', r"widths must be 4 positive channel counts, got \(3, 8\)"),
         ('{"widths": [3, 16, 0, 32]}', "widths must be 4 positive channel counts"),

@@ -382,6 +382,10 @@ class TestInfer:
         x[17, 0, 3, 3] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             default_model.infer(x)
+        for shape in [(), (3, 16, 16)]:  # not a batch: one whole-input forward refuses it
+            for batch_stats in (False, True):
+                with pytest.raises(DataError, match="input must be N x 3 x H x W"):
+                    default_model.infer(np.zeros(shape), batch_stats=batch_stats)
 
 
 class TestPredict:

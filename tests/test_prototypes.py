@@ -10,6 +10,10 @@ from fewshot_tta.prototypes import PrototypeBank, ema_update, init_bank, proto_c
 
 import oracles
 
+# embeddings and labels that are not one label per embedding row
+MISALIGNED = [([1.0, 1.0], [0]), ([1.0, 1.0], 0), ([[1.0, 1.0]], [[0]]),
+              (np.zeros((4, 2)), np.zeros((4, 1), dtype=int))]
+
 
 class TestInitBank:
     def test_single_shot_copies_embeddings(self):
@@ -42,6 +46,11 @@ class TestInitBank:
     def test_missing_class_named(self):
         with pytest.raises(DataError, match="class 2"):
             init_bank([[1.0], [2.0]], [0, 1], class_count=3)
+
+    @pytest.mark.parametrize("emb, labels", MISALIGNED)
+    def test_labels_must_be_one_per_row(self, emb, labels):
+        with pytest.raises(DataError, match="align"):
+            init_bank(emb, labels, class_count=1)
 
 
 class TestEmaUpdate:
@@ -96,8 +105,7 @@ class TestEmaUpdate:
         with pytest.raises(DataError):
             ema_update(self.make_bank(), [[1.0, 1.0]], [5])
 
-    @pytest.mark.parametrize("emb, labels", [([1.0, 1.0], [0]), ([1.0, 1.0], 0),
-                                             ([[1.0, 1.0]], [[0]])])
+    @pytest.mark.parametrize("emb, labels", MISALIGNED)
     def test_only_batches_accepted(self, emb, labels):
         with pytest.raises(DataError, match="align"):
             ema_update(self.make_bank(), emb, labels)

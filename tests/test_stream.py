@@ -87,7 +87,8 @@ class TestEntropyFilter:
 
     def test_alpha_zero_empty(self, rng):
         probs = rng.dirichlet(np.ones(4), size=8)
-        assert entropy_filter(probs, 0.0).size == 0
+        sel = entropy_filter(probs, 0.0)
+        assert sel.size == 0 and sel.dtype == np.intp
 
     def test_alpha_one_keeps_all(self, rng):
         probs = rng.dirichlet(np.ones(4), size=8)

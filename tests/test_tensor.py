@@ -388,6 +388,14 @@ class TestEntropyOfSoftmax:
             assert ent.data[i] == pytest.approx(oracles.entropy_loops(p), abs=1e-12)
 
 
+@pytest.mark.parametrize("op, labels", [(softmax_cross_entropy, [0]), (softmax_entropy, None)])
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+def test_softmax_losses_name_themselves_on_non_2d_logits(op, labels, shape):
+    args = (Tensor(np.zeros(shape)),) + (() if labels is None else (labels,))
+    with pytest.raises(ValueError, match=rf"^{op.__name__} expects N x C logits, got shape"):
+        op(*args)
+
+
 class TestChannelStats:
     def test_all_zero(self):
         mu, sig = channel_stats(Tensor(np.zeros((1, 2, 3, 3))))

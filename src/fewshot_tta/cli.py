@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train-source, finetune, adapt, sweep, report,
 run-all. Every artifact gets a JSON sidecar embedding the producing config
-and content hashes. Exit codes: 1 configuration error, 2 data error,
-3 numeric failure, 130 interrupted (Ctrl-C; no half-written file is left).
+and content hashes. Exit codes: 1 configuration error (or out of memory,
+as for a config too large to fit), 2 data error, 3 numeric failure, 130
+interrupted (Ctrl-C). A failed command leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     values = None
     if args.values:
-        cast = float if args.axis == "alpha" else int
+        cast = type(harness.SWEEP_DEFAULTS[args.axis][0])
         try:
             values = [cast(v) for v in args.values.split(",")]
         except ValueError as exc:
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, dest="batch_size", help="stream batch size")
 
     p = add("sweep", cmd_sweep, help="sweep alpha, k-shot, or batch size")
-    p.add_argument("--axis", required=True, choices=("alpha", "kshot", "batch"))
+    p.add_argument("--axis", required=True, choices=harness.SWEEP_DEFAULTS)
     p.add_argument("--values", help="comma-separated values (defaults per axis)")
     p.add_argument("--trials", type=int, default=5, help="number of trial seeds")
     p.add_argument("--out", required=True, help="sweep JSON path")
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

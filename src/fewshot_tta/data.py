@@ -156,19 +156,17 @@ def split_support(target_data: list[SampleRecord], k: int, seed: int) -> tuple[S
     by_class: dict[int, list[int]] = {}
     for i, rec in enumerate(target_data):
         by_class.setdefault(rec.label, []).append(i)
-    class_count = len(by_class)
-    for c in sorted(by_class):
-        if len(by_class[c]) < k:
-            raise DataError(f"class {c} has only {len(by_class[c])} samples, need k={k}")
     rng = np.random.default_rng(seed)
     chosen: set[int] = set()
     for c in sorted(by_class):
+        if len(by_class[c]) < k:
+            raise DataError(f"class {c} has only {len(by_class[c])} samples, need k={k}")
         idx = np.array(by_class[c])
         rng.shuffle(idx)
         chosen.update(idx[:k].tolist())
     support = [target_data[i] for i in sorted(chosen)]
     remainder = [rec for i, rec in enumerate(target_data) if i not in chosen]
-    return SupportSet(support, class_count), remainder
+    return SupportSet(support, len(by_class)), remainder
 
 
 # -- artifact files ------------------------------------------------------

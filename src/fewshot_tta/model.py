@@ -77,18 +77,21 @@ class Backbone:
 
     def __init__(self, widths=(3, 16, 32, 32), num_classes: int = 6, init_seed: int = 0):
         widths = tuple(int(w) for w in widths)
-        shapes = param_shapes(widths, num_classes)
-        self.widths = widths
-        self.num_classes = int(num_classes)
-        self.embed_dim = widths[-1]
         rng = np.random.default_rng(init_seed)
-        self.params: dict[str, Tensor] = {}
-        for name, shape in shapes.items():
-            if name.startswith("conv"):
-                data = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
-            else:
-                data = np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
-            self.params[name] = Tensor(data, requires_grad=True)
+        self._build(widths, num_classes, [
+            rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape) if name.startswith("conv")
+            else np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
+            for name, shape in param_shapes(widths, num_classes).items()])
+
+    def _build(self, widths, num_classes: int, arrays) -> "Backbone":
+        """Set the architecture, and wrap arrays (in ``param_shapes`` order) as parameters."""
+        self.widths = tuple(widths)
+        self.num_classes = int(num_classes)
+        self.embed_dim = self.widths[-1]
+        self.params: dict[str, Tensor] = {
+            name: Tensor(data, requires_grad=True)
+            for name, data in zip(param_shapes(self.widths, num_classes), arrays, strict=True)}
+        return self
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -111,13 +114,8 @@ class Backbone:
 
     def copy(self) -> "Backbone":
         """A deep copy whose parameters all require grad, as a new model's do."""
-        dup = Backbone.__new__(Backbone)
-        dup.widths = self.widths
-        dup.num_classes = self.num_classes
-        dup.embed_dim = self.embed_dim
-        dup.params = {name: Tensor(p.data.copy(), requires_grad=True)
-                      for name, p in self.params.items()}
-        return dup
+        return Backbone.__new__(Backbone)._build(
+            self.widths, self.num_classes, [p.data.copy() for p in self.params.values()])
 
     def params_hash(self) -> bytes:
         import hashlib
@@ -261,10 +259,10 @@ def save_model(path, model: Backbone) -> None:
 
 
 def load_model(path) -> Backbone:
-    """Rebuild a Backbone from a TTAM file, verifying structure byte counts.
+    """Rebuild a Backbone from a TTAM file in one pass, in file order.
 
-    The file length is checked against the header's architecture before any
-    parameter is allocated, and every parameter value must be finite.
+    Each parameter's byte count is checked against the bytes left before it
+    is read, its values must be finite, and trailing bytes are refused.
     """
     raw, (_, _, n_widths, *widths, embed_dim, num_classes) = read_artifact(
         path, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION)
@@ -276,21 +274,20 @@ def load_model(path) -> Backbone:
         shapes = param_shapes(widths, num_classes)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    end = off = _MODEL_HEADER.size
+    off = _MODEL_HEADER.size
+    arrays = []
     for name, shape in shapes.items():
-        end += 8 * math.prod(shape)
-        if end > len(raw):
+        count = math.prod(shape)
+        if 8 * count > len(raw) - off:
             raise TruncatedFileError(f"{path}: parameter {name!r} cut short")
-    if end != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - end} trailing bytes after parameters")
-    model = Backbone(widths=widths, num_classes=num_classes)
-    for name, p in model.params.items():
-        blob = np.frombuffer(raw, dtype="<f8", count=p.data.size, offset=off)
+        blob = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
         if not np.isfinite(blob).all():
             raise DataFormatError(f"{path}: parameter {name!r} has non-finite values")
-        p.data = blob.reshape(p.data.shape).copy()
-        off += p.data.nbytes
-    return model
+        arrays.append(blob.reshape(shape).copy())
+        off += 8 * count
+    if off != len(raw):
+        raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes after parameters")
+    return Backbone.__new__(Backbone)._build(widths, num_classes, arrays)
 
 
 def predict(model: Backbone, x) -> np.ndarray:

@@ -618,3 +618,17 @@ def test_criterion_6_hygiene_invariants(protocol):
 
     print("\ncriterion 6 hygiene invariants: PASS: label taint, prefix replay, "
           "master-seed determinism")
+
+
+# -- golden digests on the benchmark's stored source model ---------------
+
+
+def test_fixture_golden_digests():
+    """Stage 1 and all six methods on the default trial from the perfbench
+    fixture hash as recorded (see ``test_golden.py``; skips in an
+    environment with no recorded digests)."""
+    from test_golden import ACCEPTANCE_TIER, recorded_digests  # it imports this module
+
+    recorded = recorded_digests()
+    got = {name: fn() for name, fn in ACCEPTANCE_TIER.items()}
+    assert got == {name: recorded.get(name) for name in ACCEPTANCE_TIER}

@@ -472,16 +472,33 @@ class TestExitCodes:
         assert main(["transmogrify"]) == 1
         capsys.readouterr()
 
-    def test_interrupt_exits_130_leaving_no_file(self, workspace, tmp_path, capsys, monkeypatch):
-        def interrupted_dump(doc, fh, **kwargs):  # Ctrl-C partway through the metrics file
+    @staticmethod
+    def _adapt_failing_midway(workspace, out_dir, monkeypatch, exc) -> int:
+        """Run adapt with exc raised partway through writing its metrics file."""
+        def failing_dump(doc, fh, **kwargs):
             fh.write('{"method": ')
-            raise KeyboardInterrupt
-        monkeypatch.setattr(data.json, "dump", interrupted_dump)
-        rc = main(["adapt", "--model", str(workspace / "source.ttam"),
-                   "--stream", str(workspace / "data" / "stream.ttad"), "--method", "erm",
-                   "--out", str(tmp_path / "erm.json")])
-        assert rc == 130
+            raise exc
+        monkeypatch.setattr(data.json, "dump", failing_dump)
+        return main(["adapt", "--model", str(workspace / "source.ttam"),
+                     "--stream", str(workspace / "data" / "stream.ttad"), "--method", "erm",
+                     "--out", str(out_dir / "erm.json")])
+
+    def test_interrupt_exits_130_leaving_no_file(self, workspace, tmp_path, capsys, monkeypatch):
+        assert self._adapt_failing_midway(workspace, tmp_path, monkeypatch,
+                                          KeyboardInterrupt) == 130
         assert capsys.readouterr().err == "interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # raised, not provoked: a real one would first use up the machine's memory
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 5.24 TiB for an array"),
+         "Unable to allocate 5.24 TiB for an array"),
+        (MemoryError(), "an allocation failed"),
+    ])
+    def test_out_of_memory_exits_one_leaving_no_file(self, workspace, tmp_path, capsys,
+                                                     monkeypatch, exc, detail):
+        assert self._adapt_failing_midway(workspace, tmp_path, monkeypatch, exc) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {detail}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_is_data_error(self, tmp_path):

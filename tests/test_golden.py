@@ -10,7 +10,11 @@ battery entry for each environment it was recorded in:
 - ``params_hash`` after 50 source steps at the ``RunConfig()`` shapes;
 - the model and prototype bank that fs_tta's stream leaves on ``tiny_cfg()``;
 - the ``tiny_cfg()`` CLI chain run in-process through ``cli.main``: every
-  TTAD and TTAM file, and every JSON and CSV file.
+  TTAD and TTAM file, and every JSON and CSV file;
+- in the acceptance tier (``test_acceptance.py``, about 12 s), stage 1's
+  ``params_hash`` and ``run_all`` over all six methods on the default trial
+  of ``RunConfig()``, from the benchmark's stored source model
+  ``perfbench/fixture/source.ttam`` (read only).
 
 Before hashing, every key whose name contains ``seconds`` is removed from a
 document, and the run's temporary directory is replaced by a placeholder.
@@ -45,7 +49,7 @@ from fewshot_tta import cli  # noqa: E402
 from fewshot_tta.config import RunConfig, serialize  # noqa: E402
 from fewshot_tta.harness import (adapt_stream, build_source_model, make_trial,  # noqa: E402
                                  prepare_benchmark, run_all, run_stage1, sweep)
-from fewshot_tta.model import SourceConfig  # noqa: E402
+from fewshot_tta.model import SourceConfig, load_model  # noqa: E402
 from fewshot_tta.stream import BASELINE_KINDS  # noqa: E402
 from test_acceptance import _small_cfg  # noqa: E402
 from test_harness import tiny_cfg  # noqa: E402
@@ -53,6 +57,7 @@ from test_harness import tiny_cfg  # noqa: E402
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 UPDATE_COMMAND = "PYTHONPATH=src python tests/test_golden.py"
 TMP_PLACEHOLDER = "<tmp>"
+FIXTURE_MODEL = Path(__file__).parents[1] / "perfbench" / "fixture" / "source.ttam"
 
 
 # -- environment fingerprint ---------------------------------------------
@@ -90,6 +95,16 @@ def load_environments() -> list:
     if not DIGEST_FILE.exists():
         return []
     return json.loads(DIGEST_FILE.read_text())["environments"]
+
+
+def recorded_digests() -> dict:
+    """This environment's recorded digests; skips the calling test if there are none."""
+    fp = fingerprint()
+    for env in load_environments():
+        if env["fingerprint"] == fp:
+            return env["digests"]
+    pytest.skip(f"no golden digests recorded for this environment {json.dumps(fp)}; "
+                f"record them with `{UPDATE_COMMAND}`")
 
 
 # -- hashing ---------------------------------------------------------------
@@ -149,6 +164,20 @@ IN_PROCESS = {
 }
 
 
+def _fixture_stage1() -> str:
+    cfg = RunConfig()
+    trial = make_trial(cfg, prepare_benchmark(cfg))
+    return run_stage1(cfg, trial, load_model(FIXTURE_MODEL)).tuned.params_hash().hex()
+
+
+# checked by test_acceptance.py, outside the fast tier
+ACCEPTANCE_TIER = {
+    "params_hash/fixture_stage1": _fixture_stage1,
+    "run_all/fixture": lambda: doc_digest(run_all(RunConfig(), BASELINE_KINDS,
+                                                  source_model=load_model(FIXTURE_MODEL))),
+}
+
+
 def cli_chain_digests(root: Path) -> dict:
     """Run the tiny_cfg CLI chain under root; digest of every file it wrote."""
     root = Path(root)
@@ -184,7 +213,7 @@ def cli_chain_digests(root: Path) -> dict:
 
 
 def compute_all() -> dict:
-    digests = {name: fn() for name, fn in IN_PROCESS.items()}
+    digests = {name: fn() for name, fn in {**IN_PROCESS, **ACCEPTANCE_TIER}.items()}
     with tempfile.TemporaryDirectory() as tmp:
         digests.update(cli_chain_digests(Path(tmp)))
     return digests
@@ -195,12 +224,7 @@ def compute_all() -> dict:
 
 @pytest.fixture(scope="module")
 def recorded():
-    fp = fingerprint()
-    for env in load_environments():
-        if env["fingerprint"] == fp:
-            return env["digests"]
-    pytest.skip(f"no golden digests recorded for this environment {json.dumps(fp)}; "
-                f"record them with `{UPDATE_COMMAND}`")
+    return recorded_digests()
 
 
 @pytest.mark.parametrize("name", sorted(IN_PROCESS))

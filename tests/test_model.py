@@ -35,6 +35,15 @@ def small_model():
     return Backbone(widths=(3, 4, 4, 4), num_classes=5, init_seed=7)
 
 
+def assert_fresh_params(model, other):
+    """Each parameter of model owns writable C-ordered memory that other's
+    same-named parameter does not share."""
+    for name, p in model.params.items():
+        flags = p.data.flags
+        assert flags.writeable and flags.c_contiguous and flags.owndata, name
+        assert not np.shares_memory(p.data, other.params[name].data), name
+
+
 class TestForward:
     def test_output_shapes(self, small_model, rng):
         x = rng.normal(size=(2, 3, 8, 8))
@@ -158,6 +167,7 @@ class TestParamGroups:
     def test_copy_is_deep(self, small_model):
         dup = small_model.copy()
         assert dup.params_hash() == small_model.params_hash()
+        assert_fresh_params(dup, small_model)
         dup.params["head.bias"].data += 1.0
         assert dup.params_hash() != small_model.params_hash()
 
@@ -278,6 +288,7 @@ class TestModelFile:
         assert loaded.widths == small_model.widths
         assert loaded.num_classes == small_model.num_classes
         assert loaded.params_hash() == small_model.params_hash()
+        assert_fresh_params(loaded, small_model)  # owning its memory, it holds no file bytes
         x = rng.normal(size=(2, 3, 8, 8))
         _, a = small_model.forward(x)
         _, b = loaded.forward(x)
@@ -320,6 +331,11 @@ class TestModelFile:
         model.params["conv1.weight"].data[0, 0, 0, 0] = np.nan
         path = tmp_path / "n.ttam"
         save_model(path, model)
+        with pytest.raises(DataFormatError, match="'conv1.weight' has non-finite"):
+            load_model(path)
+        # with the last parameter also cut short, the one pass over the file
+        # still reports the first bad parameter in file order
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataFormatError, match="'conv1.weight' has non-finite"):
             load_model(path)
 

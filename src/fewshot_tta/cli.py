@@ -159,7 +159,7 @@ def cmd_adapt(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     values = None
-    if args.values:
+    if args.values is not None:
         cast = type(harness.SWEEP_DEFAULTS[args.axis][0])
         try:
             values = [cast(v) for v in args.values.split(",")]
@@ -183,7 +183,7 @@ def cmd_report(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _config_from(args)
-    methods = args.methods.split(",") if args.methods else None
+    methods = args.methods.split(",") if args.methods is not None else None
     report = harness.run_all(cfg, methods=methods)
     out = Path(args.out)
     write_json(out / "report.json", report)

@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig, config_hash, describe, override, seed_plan
 from .data import SupportSet, generate_benchmark, records_as_arrays, split_support
 from .errors import ConfigError, DataError
-from .finetune import eval_accuracy, finetune
+from .finetune import finetune
 from .model import Backbone, train_source
 from .prototypes import init_bank
 from .stream import make_stream, resolve_method, run_baseline
@@ -136,8 +136,9 @@ def run_method(cfg: RunConfig, trial: TrialSetup, source_model: Backbone,
 
 
 def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict:
-    """Full pipeline for one trial; returns the run report document."""
-    methods = [resolve_method(m) for m in (methods or [cfg.method])]
+    """Full pipeline for one trial, each distinct method once; returns the run report
+    document. Its source and stage-1 accuracies are the frozen runs' online scores."""
+    methods = list(dict.fromkeys(resolve_method(m) for m in (methods or [cfg.method])))
     timings = {}
 
     t0 = time.perf_counter()
@@ -151,19 +152,18 @@ def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict
     timings["train_source"] = time.perf_counter() - t0
 
     trial = make_trial(cfg, bench)
-    source_acc = eval_accuracy(source_model, trial.remainder)
 
     stage1 = None
-    stage1_acc = None
     t0 = time.perf_counter()
     if any(m in STAGE1_METHODS for m in methods):
         stage1 = run_stage1(cfg, trial, source_model)
-        stage1_acc = eval_accuracy(stage1.tuned, trial.remainder)
     timings["finetune"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     per_method = {m: run_method(cfg, trial, source_model, m, stage1) for m in methods}
     timings["adapt"] = time.perf_counter() - t0
+    frozen = {k: per_method.get(k) or run_method(cfg, trial, source_model, k, stage1)
+              for k in ("source_only", "ft_only") if stage1 or k == "source_only"}
 
     return {
         "schema": RUN_SCHEMA,
@@ -171,8 +171,8 @@ def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict
         "seeds": trial.seeds,
         "num_classes": bench.class_count,
         "stream_batches": len(per_method[methods[0]]["curve"]),
-        "source_accuracy": source_acc,
-        "stage1_accuracy": stage1_acc,
+        "source_accuracy": frozen["source_only"]["final_accuracy"],
+        "stage1_accuracy": frozen["ft_only"]["final_accuracy"] if stage1 else None,
         "source_curve": curve,
         "stage1_trace": stage1.trace if stage1 else None,
         "methods": per_method,
@@ -198,7 +198,7 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
 
     Stage 1 is shared across values that do not change it (alpha, batch);
     the kshot axis re-splits and re-tunes per value. The alpha=0 rows are
-    checked against the post-fine-tuning accuracy, which they must equal.
+    checked against the frozen ft_only run's score, which they must equal.
     """
     if axis not in SWEEP_DEFAULTS:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_DEFAULTS)}")
@@ -237,8 +237,8 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
             secs.append(result["seconds"])
             samples = result["total"]
             if axis == "alpha" and value == 0.0:
-                stage1_acc = eval_accuracy(stage1.tuned, trial.remainder)
-                alpha0_checks.append(result["final_accuracy"] == stage1_acc)
+                frozen = run_method(run_cfg, trial, source_model, "ft_only", stage1)
+                alpha0_checks.append(result["final_accuracy"] == frozen["final_accuracy"])
         rows.append({
             "value": value,
             "mean_accuracy": float(np.mean(accs)),

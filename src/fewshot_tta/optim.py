@@ -36,8 +36,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.params = dict(params)
         self.state = AdamState(lr=lr)
         for name, p in self.params.items():

@@ -232,17 +232,7 @@ def adapt_batch(state: AdaptState, inputs) -> np.ndarray:
         sub_logits = (take_rows(graph_logits, rows) if graph_logits is not None
                       else state.model.forward(x[rows], mode="eval")[1])
         loss_val = state.opt.minimize(online_loss(softmax(sub_logits), pseudo[keep], masks[keep]))
-        if not np.isfinite(loss_val):
-            state.loss_skipped += 1
-            loss_val = None
-
-    state.selected_total += int(sel.size)
-    state.mask_total += int(masks.sum())
-    state.rows.append({
-        "selected": int(sel.size),
-        "mask_rate": float(masks.mean()) if masks.size else 0.0,
-        "loss": loss_val,
-    })
+    _record(state, int(sel.size), int(keep.size), loss_val)
     return preds
 
 
@@ -251,19 +241,28 @@ def tent_batch(state: AdaptState, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     _, logits = state.model.forward(x, mode="eval")
     preds = np.argmax(logits.data, axis=1)
-    loss_val = state.opt.minimize(entropy_min_loss(logits))
-    if not np.isfinite(loss_val):
-        state.loss_skipped += 1
-        loss_val = None
-    state.rows.append({"selected": x.shape[0], "mask_rate": 1.0, "loss": loss_val})
+    _record(state, x.shape[0], x.shape[0], state.opt.minimize(entropy_min_loss(logits)))
     return preds
 
 
 def frozen_batch(state: AdaptState, inputs, batch_stats: bool = False) -> np.ndarray:
     """Predict without adapting; batch_stats normalizes with the batch's own statistics."""
     _, logits = state.model.infer(inputs, batch_stats=batch_stats)
-    state.rows.append({"selected": 0, "mask_rate": 0.0, "loss": None})
+    _record(state, 0, 0, None)
     return np.argmax(logits, axis=1)
+
+
+def _record(state: AdaptState, selected: int, masked: int, loss) -> None:
+    """Count one batch into the totals and append its row. A non-finite
+    loss, whose step was skipped, counts in loss_skipped and records None."""
+    if loss is not None and not np.isfinite(loss):
+        state.loss_skipped += 1
+        loss = None
+    state.selected_total += selected
+    state.mask_total += masked
+    state.rows.append({"selected": selected,
+                       "mask_rate": masked / selected if selected else 0.0,
+                       "loss": loss})
 
 
 # -- stream plumbing -----------------------------------------------------

@@ -394,6 +394,15 @@ class TestSweepCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: --values")
 
+    def test_empty_values_are_a_config_error_not_the_defaults(self, cfg_path, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda *a: pytest.fail("ran data"))
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", cfg_path, "--axis", "alpha", "--values", "",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --values ''")
+        assert not out.exists()
+
 
 class TestRunAllCommand:
     def test_full_pipeline(self, cfg_path, tmp_path, capsys):
@@ -404,6 +413,14 @@ class TestRunAllCommand:
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["methods"]) == {"source_only", "fs_tta"}
         assert "online accuracy" in capsys.readouterr().out
+
+    def test_empty_methods_are_a_config_error_not_the_default(self, cfg_path, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda *a: pytest.fail("ran data"))
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", cfg_path, "--out", str(out), "--methods", ""]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown method ''")
+        assert not out.exists()
 
 
 def _strict_json(path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fewshot_tta import harness
 from fewshot_tta.config import RunConfig, describe
 from fewshot_tta.data import BenchmarkConfig, records_as_arrays
 from fewshot_tta.errors import ConfigError, DataError
@@ -19,8 +20,8 @@ from fewshot_tta.harness import (METRICS_SCHEMA, build_report, build_source_mode
                                  make_trial, prepare_benchmark, run_all, run_method,
                                  run_stage1, sweep)
 from fewshot_tta.model import SourceConfig, predict
-from fewshot_tta.stream import (AdaptConfig, adapt_batch, init_adapt_state, make_stream,
-                                run_baseline)
+from fewshot_tta.stream import (BASELINE_KINDS, AdaptConfig, adapt_batch, init_adapt_state,
+                                make_stream, run_baseline)
 from test_acceptance import _strip_timings
 
 
@@ -173,6 +174,44 @@ class TestRunAll:
         assert acc["ft_only"] != acc["source_only"]
         assert acc["ft_plus_entropy_min"] != acc["ft_only"]
         assert acc["fs_tta"] != acc["ft_only"]
+
+    def test_each_total_is_the_sum_of_its_rows(self, pipeline):
+        cfg, _, model = pipeline
+        report = run_all(cfg, BASELINE_KINDS, source_model=model)
+        for kind, doc in report["methods"].items():
+            rows = doc["rows"]
+            assert doc["selected_total"] == sum(row["selected"] for row in rows), kind
+            assert doc["mask_total"] == sum(round(row["mask_rate"] * row["selected"])
+                                            for row in rows), kind
+
+    @pytest.mark.parametrize("methods, distinct, scorers", [
+        (["erm", "source_only", "fs_tta", "fs_tta"], ["source_only", "fs_tta"], ["ft_only"]),
+        (BASELINE_KINDS, list(BASELINE_KINDS), []),
+        (["ft_only"], ["ft_only"], ["source_only"]),
+        (["norm_stat"], ["norm_stat"], ["source_only"]),
+    ])
+    def test_one_stream_per_distinct_method_plus_missing_scorers(self, pipeline, monkeypatch,
+                                                                  methods, distinct, scorers):
+        cfg, _, model = pipeline
+        ran = []
+
+        def counting(kind, *args, **kwargs):
+            ran.append(kind)
+            return run_baseline(kind, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_baseline", counting)
+        report = run_all(cfg, methods=methods, source_model=model)
+        assert list(report["methods"]) == distinct
+        assert ran == distinct + scorers
+
+    def test_run_accuracies_are_the_frozen_runs_scores(self, pipeline):
+        cfg, _, model = pipeline
+        full = run_all(cfg, methods=BASELINE_KINDS, source_model=model)
+        assert full["source_accuracy"] == full["methods"]["source_only"]["final_accuracy"]
+        assert full["stage1_accuracy"] == full["methods"]["ft_only"]["final_accuracy"]
+        alone = run_all(cfg, methods=["fs_tta"], source_model=model)
+        assert (alone["source_accuracy"], alone["stage1_accuracy"]) == (
+            full["source_accuracy"], full["stage1_accuracy"])
 
     def test_source_only_run_skips_stage1(self, pipeline):
         cfg, _, model = pipeline

@@ -89,6 +89,12 @@ class TestAdamClass:
         with pytest.raises(ValueError, match="positive"):
             Adam(make_param([0.0]), lr=0.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        # a NaN or infinite rate would turn every parameter into NaN on the first step
+        with pytest.raises(ValueError, match="finite"):
+            Adam(make_param([0.0]), lr=lr)
+
     def test_constructor_takes_only_params_and_lr(self):
         assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
 

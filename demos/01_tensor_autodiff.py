@@ -4,7 +4,7 @@ gradients with central finite differences."""
 import numpy as np
 
 from fewshot_tta.gradcheck import finite_diff_check
-from fewshot_tta.tensor import Tensor, matmul, relu, softmax_cross_entropy, tsum, mul
+from fewshot_tta.tensor import Tensor, add, matmul, mul, relu, softmax_cross_entropy, tsum
 
 rng = np.random.default_rng(0)
 
@@ -14,14 +14,14 @@ y = rng.integers(0, 3, size=8)
 w = Tensor(rng.standard_normal((5, 3)) * 0.3, requires_grad=True)
 b = Tensor(np.zeros(3), requires_grad=True)
 
-loss = softmax_cross_entropy(matmul(x, w) + b, y)
+loss = softmax_cross_entropy(add(matmul(x, w), b), y)
 loss.backward()
 print(f"loss {loss.item():.4f}")
 print(f"dL/dw row 0: {np.round(w.grad[0], 4)}")
 print(f"dL/db:       {np.round(b.grad, 4)}")
 
 # the same loss as a zero-arg callable, probed coordinate by coordinate
-report = finite_diff_check(lambda: softmax_cross_entropy(matmul(x, w) + b, y),
+report = finite_diff_check(lambda: softmax_cross_entropy(add(matmul(x, w), b), y),
                            {"w": w, "b": b})
 print(f"finite-diff max rel err {report.max_rel_err:.2e} "
       f"over {report.coords_checked} coordinates -> ok={report.ok(1e-4)}")

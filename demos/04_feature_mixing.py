@@ -4,7 +4,7 @@ batch, the augmentation that makes a 30-image fine-tune generalize."""
 import numpy as np
 
 from fewshot_tta.fda import FdaConfig, FdaPlan, fda_transform, make_plan
-from fewshot_tta.tensor import Tensor, channel_stats
+from fewshot_tta.tensor import Tensor, channel_stats, div, mul, tsum
 
 rng = np.random.default_rng(3)
 feats = Tensor(rng.standard_normal((4, 2, 6, 6)) * 2.0 + 1.0, requires_grad=True)
@@ -28,6 +28,6 @@ out = fda_transform(feats, identity)
 print(f"lambda=1 max deviation {np.max(np.abs(out.data - feats.data)):.2e}")
 
 # and the restyling is differentiable, so it can sit inside the training graph
-loss = (mixed * mixed).sum() / mixed.data.size
+loss = div(tsum(mul(mixed, mixed)), mixed.data.size)
 loss.backward()
 print(f"gradient reached the input: |dL/dx| mean {np.mean(np.abs(feats.grad)):.4f}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 from .data import BenchmarkConfig, read_json
@@ -52,11 +54,24 @@ class RunConfig:
         if self.widths[:1] != (self.data.channels,):
             raise ConfigError(f"widths[0] must equal the data's channel count "
                               f"{self.data.channels}, got widths {self.widths}")
-        param_shapes(self.widths, self.data.class_count)
+        _check_array_sizes(self)
 
     @property
     def effective_trial_seed(self) -> int:
         return self.master_seed if self.trial_seed is None else self.trial_seed
+
+
+def _check_array_sizes(cfg: RunConfig) -> None:
+    """Refuse a domain's pixels or a parameter of more float64 bytes than numpy can index
+    (sys.maxsize, intp's max); a size within that but beyond memory fails as out of memory."""
+    d = cfg.data
+    arrays = {"data.class_count, data.per_class_count and data.image_size give a domain":
+              (d.class_count, d.per_class_count, d.channels, d.image_size, d.image_size)}
+    arrays.update((f"widths {list(cfg.widths)} give {name}", shape)
+                  for name, shape in param_shapes(cfg.widths, d.class_count).items())
+    for what, shape in arrays.items():
+        if 8 * math.prod(shape) > sys.maxsize:
+            raise ConfigError(f"{what} more float64 values than numpy can index")
 
 
 def seed_plan(cfg: RunConfig) -> dict[str, int]:
@@ -91,6 +106,8 @@ def _typed(value, default, where: str):
     accepts = _ACCEPTS[type(default)]
     if type(value) not in accepts:
         raise ConfigError(f"{where} must be {'/'.join(t.__name__ for t in accepts)}, got {value!r}")
+    if type(value) is int and float in accepts and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{where} is too large for a float, got an integer of {len(str(abs(value)))} digits")
     return value
 
 

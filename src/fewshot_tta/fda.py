@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, as_tensor, channel_stats, div, mul, reshape, sub, take_rows
+from .tensor import Tensor, add, as_tensor, channel_stats, div, mul, reshape, sub, take_rows
 
 
 # the Beta(a, a) concentration each sample's lambda is drawn from: most
@@ -95,11 +95,11 @@ def fda_transform(features, plan: FdaPlan, eps: float = EPS) -> Tensor:
     sig_j = take_rows(sigma, plan.pairing)
     lam = Tensor(plan.lambdas[:, None])
     one_minus = Tensor(1.0 - plan.lambdas[:, None])
-    beta_mix = lam * mu + one_minus * mu_j
-    gamma_mix = lam * sigma + one_minus * sig_j
+    beta_mix = add(mul(lam, mu), mul(one_minus, mu_j))
+    gamma_mix = add(mul(lam, sigma), mul(one_minus, sig_j))
     col = (features.shape[0], features.shape[1], 1, 1)
     normed = div(sub(features, reshape(mu, *col)), reshape(sigma, *col))
-    return mul(reshape(gamma_mix, *col), normed) + reshape(beta_mix, *col)
+    return add(mul(reshape(gamma_mix, *col), normed), reshape(beta_mix, *col))
 
 
 def mixer(plans: dict[int, FdaPlan]):

@@ -57,9 +57,7 @@ class Stage1Result:
 
 def prepare_benchmark(cfg: RunConfig) -> Bench:
     """Generate the benchmark from the run's data seed."""
-    source_data, target_data = generate_benchmark(cfg.data, seed_plan(cfg)["data"])
-    return Bench(source_data=source_data, target_data=target_data,
-                 class_count=cfg.data.class_count)
+    return Bench(*generate_benchmark(cfg.data, seed_plan(cfg)["data"]), cfg.data.class_count)
 
 
 def build_source_model(cfg: RunConfig, bench: Bench):
@@ -138,7 +136,9 @@ def run_method(cfg: RunConfig, trial: TrialSetup, source_model: Backbone,
 def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict:
     """Full pipeline for one trial, each distinct method once; returns the run report
     document. Its source and stage-1 accuracies are the frozen runs' online scores."""
-    methods = list(dict.fromkeys(resolve_method(m) for m in (methods or [cfg.method])))
+    methods = list(dict.fromkeys(resolve_method(m) for m in ([cfg.method] if methods is None else methods)))
+    if not methods:
+        raise ConfigError("run_all needs at least one method")
     timings = {}
 
     t0 = time.perf_counter()
@@ -227,9 +227,7 @@ def sweep(cfg: RunConfig, axis: str, values=None, trial_seeds=(0, 1, 2, 3, 4),
     rows = []
     alpha0_checks = []
     for value, run_cfgs in zip(values, grid):
-        accs = []
-        secs = []
-        samples = 0
+        accs, secs, samples = [], [], 0
         for run_cfg in run_cfgs:
             trial, stage1 = trial_and_stage1(run_cfg)
             result = run_method(run_cfg, trial, source_model, "fs_tta", stage1)
@@ -317,23 +315,14 @@ def build_report(docs: list, paths=None, force: bool = False) -> dict:
     if not docs:
         raise DataError("report needs at least one metrics file")
     check_comparable(docs, paths, force)
-    baseline = None
-    for doc in docs:
-        if doc["method"] == "source_only":
-            baseline = doc["final_accuracy"]
-            break
-    if baseline is None:
-        baseline = docs[0]["final_accuracy"]
-    rows = []
-    for doc in docs:
-        rows.append({
-            "method": doc["method"],
-            "final_accuracy": doc["final_accuracy"],
-            "delta_vs_baseline": doc["final_accuracy"] - baseline,
-            "total": doc["total"],
-            "batches": len(doc.get("curve", [])),
-        })
-    rows.sort(key=lambda r: -r["final_accuracy"])
+    baseline = next((d for d in docs if d["method"] == "source_only"), docs[0])["final_accuracy"]
+    rows = sorted(({
+        "method": doc["method"],
+        "final_accuracy": doc["final_accuracy"],
+        "delta_vs_baseline": doc["final_accuracy"] - baseline,
+        "total": doc["total"],
+        "batches": len(doc.get("curve", [])),
+    } for doc in docs), key=lambda r: -r["final_accuracy"])
     return {"baseline_accuracy": baseline, "rows": rows}
 
 

@@ -27,6 +27,7 @@ from .seeding import sub_seed
 from .tensor import (
     Tensor,
     _normalize,
+    add,
     as_tensor,
     conv2d,
     instance_norm,
@@ -155,7 +156,7 @@ class Backbone:
             if mode == "train" and mix is not None and i < 2:
                 h = mix(i + 1, h)
         embedding = tmean(h, axis=(2, 3))
-        logits = matmul(embedding, self.params["head.weight"]) + self.params["head.bias"]
+        logits = add(matmul(embedding, self.params["head.weight"]), self.params["head.bias"])
         return embedding, logits
 
     def infer(self, x, batch_stats: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError
 from .model import PARAM_GROUPS, Backbone
 from .optim import Adam
 from .prototypes import PrototypeBank, ema_update, proto_classify
-from .tensor import Tensor, log, mul, neg, softmax, softmax_entropy, take_rows, tsum
+from .tensor import Tensor, div, log, mul, neg, softmax, softmax_entropy, take_rows, tmean, tsum
 
 BASELINE_KINDS = ("source_only", "norm_stat", "entropy_min", "ft_only",
                   "ft_plus_entropy_min", "fs_tta")
@@ -173,12 +173,12 @@ def online_loss(probs: Tensor, pseudo_labels, masks):
     onehot[np.arange(n), y] = 1.0
     picked = tsum(mul(probs, Tensor(onehot)), axis=1)
     weighted = mul(neg(log(picked)), Tensor(m))
-    return tsum(weighted) / float(m.sum())
+    return div(tsum(weighted), float(m.sum()))
 
 
 def entropy_min_loss(logits: Tensor) -> Tensor:
     """Mean prediction entropy of a batch; the entropy-minimization objective."""
-    return softmax_entropy(logits).mean()
+    return tmean(softmax_entropy(logits))
 
 
 # -- the adaptation step -------------------------------------------------

@@ -151,23 +151,6 @@ class Tensor:
             node._backward_fn = _freed_backward
             node._parents = ()
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

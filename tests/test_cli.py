@@ -596,6 +596,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"adapt": {"lr": 1%s}}' % ("0" * 399), "AdaptConfig value 'lr' is too large for a float"),
+        ('{"data": {"per_class_count": 4611686018427387904}}', "data.class_count, data.per_class_count"),
+        ('{"data": {"image_size": 1%s}}' % ("0" * 399), "data.class_count, data.per_class_count"),
+        ('{"widths": [3, 16, 32, 4611686018427387904]}', "widths [3, 16, 32, 4611686018427387904]")],
+        ids=["lr", "per_class_count", "image_size", "widths"])
+    @pytest.mark.parametrize("command", ["gen-data", "run-all"])
+    def test_size_beyond_float64_or_index_space_exits_one_writing_nothing(
+            self, tmp_path, capsys, doc, message, command):
+        path = tmp_path / "c.json"
+        path.write_text(doc)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("finetune", "--lr", "nan"), ("finetune", "--lr", "inf"), ("adapt", "--alpha", "nan")])
     def test_non_finite_flag_exits_one_before_any_read(self, tmp_path, capsys, command, flag,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -23,6 +24,11 @@ def _custom():
         source=SourceConfig(iters=100, lr=2e-3),
         finetune=FinetuneConfig(epochs=10, lr=1e-4, fda=FdaConfig(p_apply=0.8)),
         adapt=AdaptConfig(alpha=0.3, batch_size=16))
+
+
+BIG = "9" * 400
+DOMAIN_TOO_BIG = ("data.class_count, data.per_class_count and data.image_size give a domain "
+                  "more float64 values than numpy can index")
 
 
 class TestRoundTrip:
@@ -158,6 +164,39 @@ class TestValidation:
         assert key not in doc
         with pytest.raises(ConfigError, match=f"unknown .* keys: \\['{key}'\\]"):
             read_config(json.dumps(text))
+
+    @pytest.mark.parametrize("text,match", [
+        # an integer for a float field must fit a float64
+        (f'{{"source": {{"lr": {BIG}}}}}', "SourceConfig value 'lr' is too large for a float, "
+                                          "got an integer of 400 digits"),
+        (f'{{"finetune": {{"lr": {BIG}}}}}', "FinetuneConfig value 'lr' is too large"),
+        (f'{{"adapt": {{"lr": {BIG}}}}}', "AdaptConfig value 'lr' is too large"),
+        (f'{{"data": {{"target_gain": [1, {BIG}, 1]}}}}', "'target_gain' is too large"),
+        (f'{{"adapt": {{"lr": {int(sys.float_info.max) + 1}}}}}', "'lr' is too large"),
+        # and no array the config implies may exceed numpy's index space
+        ('{"data": {"per_class_count": 4611686018427387904}}', DOMAIN_TOO_BIG),
+        (f'{{"data": {{"class_count": {BIG}}}}}', DOMAIN_TOO_BIG),
+        (f'{{"data": {{"image_size": {BIG}}}}}', DOMAIN_TOO_BIG),
+        ('{"widths": [3, 16, 32, 4611686018427387904]}',
+         r"widths \[3, 16, 32, 4611686018427387904\] give conv3.weight more float64 values"),
+        (f'{{"widths": [3, 16, 32, {sys.maxsize // (8 * 32 * 9) + 1}]}}', "give conv3.weight"),
+    ], ids=["source.lr", "finetune.lr", "adapt.lr", "target_gain", "lr_above_float_max",
+            "per_class_count", "class_count", "image_size", "widths", "widths_one_past_intp"])
+    def test_value_beyond_float64_or_index_space_is_config_error(self, text, match, read_config):
+        with pytest.raises(ConfigError, match=match):
+            read_config(text)
+
+    def test_largest_accepted_values_are_kept_as_written(self, read_config):
+        """The float check reads an integer lr without converting it, so its
+        config_hash is unchanged; a width whose largest parameter fills numpy's
+        index space exactly still parses (nothing is allocated)."""
+        top = int(sys.float_info.max)
+        cfg = read_config(f'{{"adapt": {{"lr": {top}}}, "source": {{"lr": 1}}}}')
+        assert type(cfg.adapt.lr) is int and cfg.adapt.lr == top and type(cfg.source.lr) is int
+        assert config_hash(cfg) == config_hash(RunConfig(adapt=AdaptConfig(lr=top),
+                                                         source=SourceConfig(lr=1)))
+        width = sys.maxsize // (8 * 32 * 9)
+        assert read_config(f'{{"widths": [3, 16, 32, {width}]}}').widths[-1] == width
 
     def test_floats_take_ints_and_trial_seed_takes_null(self, read_config):
         cfg = read_config('{"adapt": {"alpha": 1}, "finetune": {"fda": {"p_apply": 0}}, '

@@ -340,3 +340,19 @@ class TestReadJson:
         path.write_bytes(blob)
         with pytest.raises(error, match=match):
             read_json(path, error)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda path: DomainSpec(0, np.ones(3), np.zeros(2), 0.1, 0), ConfigError,
+                 r"gain shape \(3,\) != bias shape \(2,\)", id="domain_gain_bias_shapes"),
+    pytest.param(lambda path: split_support([], 0, 0), ConfigError, "k must be >= 1, got 0",
+                 id="split_support_k"),
+    pytest.param(lambda path: write_dataset(path / "mixed.ttad", [
+        SampleRecord(0, np.zeros((3, 4, 4)), 0), SampleRecord(1, np.zeros((3, 8, 8)), 0)], 2),
+        DataError, r"records disagree on pixel shape: \[\(3, 4, 4\), \(3, 8, 8\)\]",
+        id="write_dataset_mixed_shapes"),
+])
+def test_malformed_input_raises_its_typed_error(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+    assert not list(tmp_path.iterdir())

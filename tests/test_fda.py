@@ -14,7 +14,7 @@ from fewshot_tta.fda import (
     mixer,
 )
 from fewshot_tta.gradcheck import finite_diff_check
-from fewshot_tta.tensor import Tensor, channel_stats
+from fewshot_tta.tensor import Tensor, channel_stats, mul, tsum
 
 import oracles
 
@@ -121,7 +121,7 @@ class TestFdaTransform:
         f = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
         plan = FdaPlan(pairing=np.array([2, 0, 1]), lambdas=np.array([0.3, 0.8, 0.5]))
         probe = Tensor(rng.normal(size=(3, 2, 4, 4)))
-        report = finite_diff_check(lambda: (fda_transform(f, plan, eps=1e-4) * probe).sum(),
+        report = finite_diff_check(lambda: tsum(mul(fda_transform(f, plan, eps=1e-4), probe)),
                                    {"f": f})
         assert report.ok(1e-4), report.max_rel_err
 
@@ -176,3 +176,9 @@ class TestMakePlan:
             FdaPlan(pairing=np.array([0, 0, 2]), lambdas=np.full(3, 0.5))
         with pytest.raises(ConfigError):
             FdaPlan(pairing=np.arange(3), lambdas=np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("p_apply", [-0.1, 1.5])
+def test_p_apply_outside_unit_interval_is_config_error(p_apply):
+    with pytest.raises(ConfigError, match=rf"p_apply must be in \[0, 1\], got {p_apply}"):
+        FdaConfig(p_apply=p_apply)

@@ -12,7 +12,7 @@ from fewshot_tta.fda import FdaConfig
 from fewshot_tta.finetune import FinetuneConfig, eval_accuracy, finetune
 from fewshot_tta.model import Backbone
 from fewshot_tta.optim import Adam
-from fewshot_tta.tensor import cross_entropy, reshape, softmax, softmax_cross_entropy
+from fewshot_tta.tensor import cross_entropy, div, reshape, softmax, softmax_cross_entropy
 
 NO_FDA = FdaConfig(p_apply=0.0)
 
@@ -102,7 +102,7 @@ class TestFinetune:
         model_b = model_a.copy()
         for xi, yi in zip(x, y):
             _, zi = model_b.forward(xi[None], mode="train")
-            li = cross_entropy(softmax(reshape(zi, zi.shape[1])), int(yi)) / n
+            li = div(cross_entropy(softmax(reshape(zi, zi.shape[1])), int(yi)), n)
             li.backward()
         for name, want in mean_grads.items():
             got = model_b.params[name].grad

@@ -219,6 +219,11 @@ class TestRunAll:
         assert report["stage1_accuracy"] is None
         assert report["stage1_trace"] is None
 
+    def test_empty_method_list_is_a_config_error_before_any_data(self, monkeypatch):
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda cfg: pytest.fail("data generated"))
+        with pytest.raises(ConfigError, match="at least one method"):
+            run_all(tiny_cfg(), methods=[])
+
 
 class TestHygieneInvariants:
     """Acceptance criterion 6's three checks, on tiny_cfg."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fewshot_tta import model as model_mod
-from fewshot_tta.data import DomainSpec, gen_domain
+from fewshot_tta.data import DomainSpec, SampleRecord, gen_domain
 from fewshot_tta.errors import (
     BadMagicError,
     ConfigError,
@@ -422,3 +422,9 @@ class TestPredict:
         before = small_model.params_hash()
         predict(small_model, rng.normal(size=(4, 3, 8, 8)))
         assert small_model.params_hash() == before
+
+
+def test_source_label_beyond_num_classes_is_data_error():
+    records = [SampleRecord(label=label, pixels=np.zeros((3, 8, 8)), domain_id=0) for label in (0, 3)]
+    with pytest.raises(DataError, match="label 3 out of range for 3 classes"):
+        train_source([records], SourceConfig(iters=0), 0, num_classes=3)

@@ -8,7 +8,7 @@ import pytest
 from fewshot_tta import optim
 from fewshot_tta.gradcheck import finite_diff_check
 from fewshot_tta.optim import Adam
-from fewshot_tta.tensor import Tensor
+from fewshot_tta.tensor import Tensor, mul, tsum
 
 import oracles
 
@@ -111,9 +111,9 @@ class TestMinimize:
         opt, ref = Adam(params, lr=0.1), Adam(manual, lr=0.1)
         for _ in range(2):
             params["w"].grad = np.ones(2)  # stale; minimize must clear it
-            value = opt.minimize((params["w"] * params["w"]).sum())
+            value = opt.minimize(tsum(mul(params["w"], params["w"])))
             ref.zero_grad()
-            loss = (manual["w"] * manual["w"]).sum()
+            loss = tsum(mul(manual["w"], manual["w"]))
             loss.backward()
             ref.step()
             assert value == loss.item()
@@ -124,7 +124,7 @@ class TestMinimize:
     def test_non_finite_loss_returns_it_and_takes_no_step(self, bad):
         params = make_param([1.0])
         opt = Adam(params, lr=0.1)
-        value = opt.minimize((params["w"] * bad).sum())
+        value = opt.minimize(tsum(mul(params["w"], bad)))
         assert not np.isfinite(value)
         assert params["w"].grad is None and params["w"].data[0] == 1.0
         assert opt.state.step_count == 0 and opt.state.skipped_steps == 0
@@ -136,14 +136,14 @@ class TestMinimize:
         monkeypatch.setattr(Adam, "step", lambda opt: calls.append(opt) or real(opt))
         params = make_param([1.0])
         opt = Adam(params, lr=0.1)
-        opt.minimize((params["w"] * params["w"]).sum())
+        opt.minimize(tsum(mul(params["w"], params["w"])))
         assert calls == [opt]
 
 
 class TestGradcheckHarness:
     def test_quadratic_is_exact(self):
         x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        report = finite_diff_check(lambda: (x * x).sum(), {"x": x})
+        report = finite_diff_check(lambda: tsum(mul(x, x)), {"x": x})
         assert report.max_rel_err < 1e-8
 
     def test_detects_wrong_gradient(self):
@@ -156,5 +156,23 @@ class TestGradcheckHarness:
                 return (3.0 * g * t.data,)  # claims d/dx x^2 = 3x
             return _result(t.data ** 2, (t,), backward)
 
-        report = finite_diff_check(lambda: broken(x).sum(), {"x": x})
+        report = finite_diff_check(lambda: tsum(broken(x)), {"x": x})
         assert report.max_rel_err > 0.1
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda x: finite_diff_check(lambda: mul(x, 2.0), {"x": x}),
+                 "finite_diff_check needs a scalar-valued function", id="gradcheck_non_scalar"),
+    pytest.param(lambda x: _step_with_grad(x, np.ones(3)),
+                 r"gradient shape \(3,\) does not match parameter 'w' shape \(2,\)",
+                 id="adam_gradient_shape"),
+])
+def test_malformed_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(Tensor(np.array([1.0, 2.0]), requires_grad=True))
+
+
+def _step_with_grad(w, grad):
+    opt = Adam({"w": w}, lr=0.1)
+    w.grad = grad
+    opt.step()

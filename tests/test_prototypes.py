@@ -168,3 +168,21 @@ class TestProtoClassify:
         with pytest.raises(DataError, match="N x 2"):
             proto_classify(bank, features)
 
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: PrototypeBank(np.zeros(3)), ConfigError,
+                 r"prototypes must be C x D, got shape \(3,\)", id="bank_not_2d"),
+    pytest.param(lambda: PrototypeBank(np.zeros((2, 2)), ema_beta=1.5), ConfigError,
+                 r"ema_beta must be in \[0, 1\], got 1.5", id="ema_beta_above_one"),
+    pytest.param(lambda: PrototypeBank(np.zeros((2, 2)), ema_beta=-0.5), ConfigError,
+                 r"ema_beta must be in \[0, 1\], got -0.5", id="ema_beta_below_zero"),
+    pytest.param(lambda: PrototypeBank(np.array([[0.0, np.nan], [1.0, 0.0]])), DataError,
+                 "non-finite prototype values", id="bank_not_finite"),
+    pytest.param(lambda: init_bank(np.zeros((2, 2)), [0, 2], 2), DataError,
+                 "label out of range for 2 classes", id="init_bank_label_too_large"),
+    pytest.param(lambda: init_bank(np.zeros((2, 2)), [-1, 0], 2), DataError,
+                 "label out of range for 2 classes", id="init_bank_label_negative"),
+])
+def test_malformed_bank_input_raises_its_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

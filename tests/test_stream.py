@@ -621,3 +621,14 @@ class TestRunBaseline:
             last = m
         assert outs[0] == outs[1]
         assert last.mask_total > 0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: pseudo_label(np.zeros(3)), DataError,
+                 r"logits must be B x C, got shape \(3,\)", id="pseudo_label_not_2d"),
+    pytest.param(lambda: make_stream([], 0, 0), ConfigError, "batch_size must be >= 1, got 0",
+                 id="make_stream_batch_size"),
+])
+def test_malformed_input_raises_its_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

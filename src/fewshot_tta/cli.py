@@ -21,25 +21,26 @@ from .data import (Dataset, SupportSet, manifest, read_dataset, read_json, write
 from .errors import ConfigError, DataError, FewshotTtaError
 from .finetune import finetune
 from .model import load_model, save_model, train_source
+from .stream import METHODS
 
 
-# each override flag and the config field it sets, applied in this order
-FLAG_FIELDS = {
-    "seed": "master_seed",
-    "trial_seed": "trial_seed",
-    "k": "k",
-    "method": "method",
-    "alpha": "adapt.alpha",
-    "batch_size": "adapt.batch_size",
-    "epochs": "finetune.epochs",
-    "lr": "finetune.lr",
-    "iters": "source.iters",
+# each override flag: the config field it sets, its type and its help; applied in this order
+FLAGS = {
+    "seed": ("master_seed", int, "master seed (data + source init)"),
+    "trial_seed": ("trial_seed", int, "trial seed (support split, mixing, stream order)"),
+    "k": ("k", int, "support samples per class"),
+    "method": ("method", str, "method or alias: " + ", ".join(m.alias for m in METHODS.values())),
+    "alpha": ("adapt.alpha", float, "entropy filter fraction"),
+    "batch_size": ("adapt.batch_size", int, "stream batch size"),
+    "epochs": ("finetune.epochs", int, "fine-tuning epochs"),
+    "lr": ("finetune.lr", float, "fine-tuning learning rate"),
+    "iters": ("source.iters", int, "source training iterations"),
 }
 
 
 def _config_from(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for flag, path in FLAG_FIELDS.items():
+    for flag, (path, _, _) in FLAGS.items():
         if getattr(args, flag, None) is not None:
             cfg = override(cfg, path, getattr(args, flag))
     return cfg
@@ -201,41 +202,35 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Streaming few-shot test-time adaptation at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, flags=(), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON run config; flags override file values")
-        p.add_argument("--seed", type=int, help="master seed (data + source init)")
-        p.add_argument("--trial-seed", type=int, dest="trial_seed",
-                       help="trial seed (support split, mixing, stream order)")
+        for flag in ("seed", "trial_seed", *flags):
+            _, kind, text = FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind, help=text)
         return p
 
-    p = add("gen-data", cmd_gen_data, help="generate benchmark dataset files")
+    p = add("gen-data", cmd_gen_data, ["k"], help="generate benchmark dataset files")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k", type=int, help="support samples per class")
 
-    p = add("train-source", cmd_train_source, help="train the pooled-source model")
+    p = add("train-source", cmd_train_source, ["iters"], help="train the pooled-source model")
     p.add_argument("--data", required=True, help="directory with source*.ttad")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--iters", type=int, help="training iterations")
 
-    p = add("finetune", cmd_finetune, help="fine-tune on the labeled support set")
+    p = add("finetune", cmd_finetune, ["epochs", "lr"], help="fine-tune on the labeled support set")
     p.add_argument("--model", required=True, help="input model file")
     p.add_argument("--support", required=True, help="support dataset file")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--trace", help="loss trace CSV path (default <out>.trace.csv)")
-    p.add_argument("--epochs", type=int, help="fine-tuning epochs")
-    p.add_argument("--lr", type=float, help="fine-tuning learning rate")
 
-    p = add("adapt", cmd_adapt, help="run one adaptation method over a stream")
+    p = add("adapt", cmd_adapt, ["method", "alpha", "batch_size"],
+            help="run one adaptation method over a stream")
     p.add_argument("--model", required=True, help="model file to adapt")
     p.add_argument("--stream", required=True, help="stream dataset file")
-    p.add_argument("--method", help="method or alias: erm, bn, tent, ft, ft_tent, fs_tta")
     p.add_argument("--support", help="support file (builds the fs_tta prototype bank)")
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--batch-csv", dest="batch_csv", help="per-batch CSV path")
-    p.add_argument("--alpha", type=float, help="entropy filter fraction")
-    p.add_argument("--batch-size", type=int, dest="batch_size", help="stream batch size")
 
     p = add("sweep", cmd_sweep, help="sweep alpha, k-shot, or batch size")
     p.add_argument("--axis", required=True, choices=harness.SWEEP_DEFAULTS)
@@ -249,11 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="allow mixed config/data hashes")
     p.add_argument("--csv", help="also write the table as CSV")
 
-    p = add("run-all", cmd_run_all, help="full pipeline: data, source, stage 1, stage 2")
+    p = add("run-all", cmd_run_all, ["k", "iters"], help="full pipeline: data, source, stage 1, stage 2")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--methods", help="comma-separated methods (default: config's method)")
-    p.add_argument("--k", type=int, help="support samples per class")
-    p.add_argument("--iters", type=int, help="source training iterations")
     return parser
 
 

@@ -284,7 +284,10 @@ def read_dataset(path) -> Dataset:
         raise TruncatedFileError(f"{path}: expected {expected} bytes for {n} records, got {len(raw)}")
     if len(raw) > expected:
         raise DataFormatError(f"{path}: {len(raw) - expected} trailing bytes after {n} records")
-    # the size check above bounds c * h * w, so the record dtype is small
+    # numpy refuses a record dtype larger than a C int, and with n = 0 the
+    # size checks above bound nothing
+    if rec_bytes > np.iinfo(np.intc).max:
+        raise DataFormatError(f"{path}: a record of {c}x{h}x{w} pixels is too large ({rec_bytes} bytes)")
     table = np.frombuffer(raw, dtype=_record_dtype(c, h, w), count=n, offset=_HEADER.size)
     labels = table["label"]
     bad = np.flatnonzero(labels >= num_classes)
@@ -326,6 +329,10 @@ class BenchmarkConfig:
                               f"got lengths {[len(s) for s in styles]}")
         if not np.all(np.isfinite([*np.ravel(styles), self.target_noise_std])):
             raise ConfigError("every gain, bias and noise value must be finite")
+        if np.any(np.ravel([*self.source_gains, self.target_gain]) <= 0) or self.target_noise_std < 0:
+            raise ConfigError("every gain must be > 0 and target_noise_std >= 0")
+        if self.image_size < 4:
+            raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
         if not self.source_gains or len(self.source_gains) != len(self.source_biases):
             raise ConfigError(f"source_gains and source_biases need one style per source domain, "
                               f"got {len(self.source_gains)} and {len(self.source_biases)}")

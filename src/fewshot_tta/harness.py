@@ -19,13 +19,11 @@ from .errors import ConfigError, DataError
 from .finetune import finetune
 from .model import Backbone, train_source
 from .prototypes import init_bank
-from .stream import make_stream, resolve_method, run_baseline
+from .stream import METHODS, make_stream, resolve_method, run_baseline
 
 RUN_SCHEMA = "fewshot-tta-run/1"
 METRICS_SCHEMA = "fewshot-tta-metrics/2"
 SWEEP_SCHEMA = "fewshot-tta-sweep/1"
-
-STAGE1_METHODS = ("ft_only", "ft_plus_entropy_min", "fs_tta")
 
 
 @dataclass
@@ -126,9 +124,9 @@ def run_method(cfg: RunConfig, trial: TrialSetup, source_model: Backbone,
     source_model and stage1 across methods.
     """
     kind = resolve_method(method)
-    if kind in STAGE1_METHODS and stage1 is None:
+    if METHODS[kind].stage1 and stage1 is None:
         raise ConfigError(f"{kind} needs the fine-tuned model; run stage 1 first")
-    model = (stage1.tuned if kind in STAGE1_METHODS else source_model).copy()
+    model = (stage1.tuned if METHODS[kind].stage1 else source_model).copy()
     bank = stage1.bank.copy() if stage1 else None
     return adapt_stream(cfg, kind, model, trial.remainder, trial.seeds["stream"], bank)
 
@@ -155,7 +153,7 @@ def run_all(cfg: RunConfig, methods=None, source_model: Backbone = None) -> dict
 
     stage1 = None
     t0 = time.perf_counter()
-    if any(m in STAGE1_METHODS for m in methods):
+    if any(METHODS[m].stage1 for m in methods):
         stage1 = run_stage1(cfg, trial, source_model)
     timings["finetune"] = time.perf_counter() - t0
 

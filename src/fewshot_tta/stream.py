@@ -10,6 +10,7 @@ for evaluation; the adaptation functions never receive them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -22,25 +23,25 @@ from .optim import Adam
 from .prototypes import PrototypeBank, ema_update, proto_classify
 from .tensor import Tensor, div, log, mul, neg, softmax, softmax_entropy, take_rows, tmean, tsum
 
-BASELINE_KINDS = ("source_only", "norm_stat", "entropy_min", "ft_only",
-                  "ft_plus_entropy_min", "fs_tta")
-
-METHOD_ALIASES = {
-    "erm": "source_only",
-    "bn": "norm_stat",
-    "tent": "entropy_min",
-    "ft": "ft_only",
-    "ft_tent": "ft_plus_entropy_min",
-    "fs_tta": "fs_tta",
+# each method's CLI alias, whether it adapts the stage-1 model, and the parameter groups it updates
+_Method = namedtuple("Method", "alias stage1 groups")
+METHODS = {
+    "source_only": _Method("erm", False, ()),
+    "norm_stat": _Method("bn", False, ()),
+    "entropy_min": _Method("tent", False, ("norm_affine",)),
+    "ft_only": _Method("ft", True, ()),
+    "ft_plus_entropy_min": _Method("ft_tent", True, ("norm_affine",)),
+    "fs_tta": _Method("fs_tta", True, PARAM_GROUPS),
 }
+BASELINE_KINDS = tuple(METHODS)
 
 
 def resolve_method(name: str) -> str:
     """Map a CLI alias or canonical name onto a BaselineKind."""
-    kind = METHOD_ALIASES.get(name, name)
-    if kind not in BASELINE_KINDS:
-        raise ConfigError(f"unknown method {name!r}; choose from {sorted(METHOD_ALIASES)}")
-    return kind
+    for kind, method in METHODS.items():
+        if name in (kind, method.alias):
+            return kind
+    raise ConfigError(f"unknown method {name!r}; choose from {sorted(m.alias for m in METHODS.values())}")
 
 
 @dataclass
@@ -300,15 +301,12 @@ def run_baseline(kind: str, model: Backbone, stream: list[StreamBatch], cfg: Ada
     Hidden labels are only touched here, after each batch's predictions.
     """
     kind = resolve_method(kind)
-    if kind == "fs_tta":
-        if bank is None:
-            raise ConfigError("fs_tta needs the support-set prototype bank (--support)")
-        state, step = init_adapt_state(model, bank, cfg), adapt_batch
-    elif kind in ("entropy_min", "ft_plus_entropy_min"):
-        state, step = init_adapt_state(model, None, cfg, groups=("norm_affine",)), tent_batch
-    else:
-        state = init_adapt_state(model, None, cfg, groups=())
-        step = partial(frozen_batch, batch_stats=kind == "norm_stat")
+    if kind == "fs_tta" and bank is None:
+        raise ConfigError("fs_tta needs the support-set prototype bank (--support)")
+    state = init_adapt_state(model, bank, cfg, groups=METHODS[kind].groups)
+    # looked up at call time, so a patched module function is the one that runs
+    step = (adapt_batch if kind == "fs_tta" else tent_batch if state.opt
+            else partial(frozen_batch, batch_stats=kind == "norm_stat"))
 
     for batch in stream:
         preds = step(state, batch.inputs)

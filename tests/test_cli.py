@@ -597,6 +597,22 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, message", [
+        ({"data": {"target_gain": [0, 1, 1]}}, "every gain must be > 0"),
+        ({"data": {"target_noise_std": -1}}, "every gain must be > 0 and target_noise_std >= 0"),
+        ({"data": {"image_size": 2}}, "image_size must be >= 4, got 2")])
+    def test_data_range_config_exits_one_before_adapt_writes(self, workspace, tmp_path, capsys,
+                                                             doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["adapt", "--config", str(path), "--model", str(workspace / "source.ttam"),
+                   "--stream", str(workspace / "data" / "stream.ttad"), "--method", "erm",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("doc, message", [
         ('{"adapt": {"lr": 1%s}}' % ("0" * 399), "AdaptConfig value 'lr' is too large for a float"),
         ('{"data": {"per_class_count": 4611686018427387904}}', "data.class_count, data.per_class_count"),
         ('{"data": {"image_size": 1%s}}' % ("0" * 399), "data.class_count, data.per_class_count"),
@@ -656,25 +672,42 @@ class TestExitCodes:
 
 # the arguments each subcommand requires, so one flag can be parsed alone
 _REQUIRED = {
-    "run-all": ["--out", "o"],
+    "gen-data": ["--out", "o"],
     "train-source": ["--data", "d", "--out", "o"],
     "finetune": ["--model", "m", "--support", "s", "--out", "o"],
     "adapt": ["--model", "m", "--stream", "s", "--out", "o"],
+    "sweep": ["--axis", "alpha", "--out", "o"],
+    "run-all": ["--out", "o"],
+}
+
+# each override flag: a value to pass, the config field it sets, and that field's new value
+_FLAG_CASES = {
+    "--seed": ("4", "master_seed", 4),
+    "--trial-seed": ("5", "trial_seed", 5),
+    "--k": ("3", "k", 3),
+    "--method": ("bn", "method", "norm_stat"),
+    "--alpha": ("0.25", "adapt.alpha", 0.25),
+    "--batch-size": ("16", "adapt.batch_size", 16),
+    "--epochs": ("7", "finetune.epochs", 7),
+    "--lr": ("0.01", "finetune.lr", 0.01),
+    "--iters": ("9", "source.iters", 9),
+}
+
+# the override flags each subcommand accepts
+_COMMAND_FLAGS = {
+    "gen-data": ["--seed", "--trial-seed", "--k"],
+    "train-source": ["--seed", "--trial-seed", "--iters"],
+    "finetune": ["--seed", "--trial-seed", "--epochs", "--lr"],
+    "adapt": ["--seed", "--trial-seed", "--method", "--alpha", "--batch-size"],
+    "sweep": ["--seed", "--trial-seed"],
+    "run-all": ["--seed", "--trial-seed", "--k", "--iters"],
 }
 
 
-@pytest.mark.parametrize("command, flag, value, field, want", [
-    ("run-all", "--seed", "4", "master_seed", 4),
-    ("run-all", "--trial-seed", "5", "trial_seed", 5),
-    ("run-all", "--k", "3", "k", 3),
-    ("adapt", "--method", "bn", "method", "norm_stat"),
-    ("adapt", "--alpha", "0.25", "adapt.alpha", 0.25),
-    ("adapt", "--batch-size", "16", "adapt.batch_size", 16),
-    ("finetune", "--epochs", "7", "finetune.epochs", 7),
-    ("finetune", "--lr", "0.01", "finetune.lr", 0.01),
-    ("train-source", "--iters", "9", "source.iters", 9),
-])
-def test_each_flag_sets_its_field(command, flag, value, field, want):
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _COMMAND_FLAGS.items() for flag in flags])
+def test_each_flag_sets_its_field(command, flag):
+    value, field, want = _FLAG_CASES[flag]
     args = build_parser().parse_args([command, *_REQUIRED[command], flag, value])
     expected = json.loads(serialize(RunConfig()))
     *sections, name = field.split(".")
@@ -683,6 +716,28 @@ def test_each_flag_sets_its_field(command, flag, value, field, want):
         node = node[section]
     node[name] = want
     assert json.loads(serialize(cli._config_from(args))) == expected
+
+
+# run-all reads --method as an abbreviation of its --methods
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _COMMAND_FLAGS.items()
+    for flag in _FLAG_CASES if flag not in flags and (command, flag) != ("run-all", "--method")])
+def test_each_subcommand_refuses_the_flags_it_does_not_take(command, flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, *_REQUIRED[command], flag, _FLAG_CASES[flag][0]])
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_every_subcommand_renders_its_help(capsys):
+    # argparse formats a help string only when it renders one
+    for command in ("gen-data", "train-source", "finetune", "adapt", "sweep", "report", "run-all"):
+        assert main([command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert out.startswith(f"usage: fewshot-tta {command} ")
+        for flag in _COMMAND_FLAGS.get(command, []):
+            assert f" {flag} " in out, (command, flag)
+        if command == "adapt":
+            assert "method or alias: erm, bn, tent, ft, ft_tent, fs_tta" in out
 
 
 def test_method_alias_by_flag_or_file_gives_one_hash(tmp_path):

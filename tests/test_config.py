@@ -143,10 +143,20 @@ class TestValidation:
         ('{"widths": [3, 8]}', r"widths must be 4 positive channel counts, got \(3, 8\)"),
         ('{"widths": [3, 16, 0, 32]}', "widths must be 4 positive channel counts"),
         ('{"data": {"class_count": 1}}', "num_classes must be >= 2, got 1"),
+        # gains, the target's noise and the image size are checked when the config is read,
+        # not first when the data is generated
+        ('{"data": {"target_gain": [0, 1, 1]}}', "every gain must be > 0"),
+        ('{"data": {"source_gains": [[1, 1, 1], [1, -0.5, 1], [1, 1, 1]]}}', "every gain must be > 0"),
+        ('{"data": {"target_noise_std": -1}}', "target_noise_std >= 0"),
+        ('{"data": {"image_size": 3}}', "image_size must be >= 4, got 3"),
     ])
     def test_out_of_range_value_is_config_error(self, text, match, read_config):
         with pytest.raises(ConfigError, match=match):
             read_config(text)
+
+    def test_range_edges_are_accepted(self, read_config):
+        cfg = read_config('{"data": {"image_size": 4, "target_noise_std": 0, "target_gain": [1e-9, 1, 1]}}')
+        assert (cfg.data.image_size, cfg.data.target_noise_std, cfg.data.target_gain[0]) == (4, 0, 1e-9)
 
     @pytest.mark.parametrize("section,key", [
         ("data", "master_seed"), ("data", "channels"), ("source", "seed"), ("finetune", "seed"),

@@ -223,6 +223,20 @@ class TestDatasetFile:
         ds = read_dataset(path)
         assert ds.records == [] and ds.num_classes == 6 and ds.domain_id == 1
 
+    def test_empty_header_with_oversized_records_is_format_error(self, tmp_path):
+        """With no records the size checks bound no dimension, and numpy refuses a
+        record dtype of more bytes than a C int holds."""
+        path = tmp_path / "huge.ttad"
+        path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 0, 4000, 4000, 4000, 6, 1))
+        with pytest.raises(DataFormatError, match="a record of 4000x4000x4000 pixels is too large"):
+            read_dataset(path)
+        # the largest record numpy takes, 2 + 4 * 536870911 bytes, still reads
+        path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 0, 1, 1, 536870911, 6, 1))
+        assert read_dataset(path).records == []
+        path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 0, 1, 1, 536870912, 6, 1))
+        with pytest.raises(DataFormatError, match="too large"):
+            read_dataset(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttad"
         path.write_bytes(b"NOPE" + b"\x00" * 60)

@@ -8,6 +8,8 @@ test. The mutants come from a plain numpy generator, so a failure
 reproduces from its seed and index.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,16 @@ def test_adapt_survives_mutated_files(inputs, tmp_path, capsys, target, seed):
     capsys.readouterr()
     assert set(codes) <= {0, 1, 2}
     assert 0 in codes and 2 in codes
+
+
+def test_adapt_refuses_an_empty_stream_of_oversized_records(inputs, tmp_path, capsys):
+    """A header of zero 4000x4000x4000-pixel records passes the file-size checks."""
+    path = tmp_path / "stream.ttad"
+    path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 0, 4000, 4000, 4000, 3, 1))
+    assert _adapt(inputs, inputs / "model.ttam", path, tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "is too large" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["stream.ttad"]
 
 
 def test_report_survives_mutated_metrics(inputs, tmp_path, capsys):

@@ -100,11 +100,12 @@ class TestStagedRuns:
         assert 0.0 <= result["final_accuracy"] <= 1.0
         assert len(result["curve"]) == 3
 
-    def test_stage1_methods_require_stage1(self, pipeline):
+    @pytest.mark.parametrize("method", ["ft_only", "ft_plus_entropy_min", "fs_tta"])
+    def test_stage1_methods_require_stage1(self, pipeline, method):
         cfg, bench, model = pipeline
         trial = make_trial(cfg, bench)
-        with pytest.raises(ConfigError, match="stage 1"):
-            run_method(cfg, trial, model, "ft_only")
+        with pytest.raises(ConfigError, match=f"{method} needs the fine-tuned model; run stage 1"):
+            run_method(cfg, trial, model, method)
 
     def test_inputs_never_mutated(self, pipeline):
         cfg, bench, model = pipeline

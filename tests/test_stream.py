@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fewshot_tta import stream as stream_module
 from fewshot_tta import tensor
 from fewshot_tta.data import SampleRecord, SupportSet, records_as_arrays
 from fewshot_tta.errors import ConfigError, DataError
@@ -558,6 +559,35 @@ class TestRunBaseline:
         for name, old in snap.items():
             same = np.array_equal(model.params[name].data, old)
             assert same == (not name.startswith("norm")), name
+
+    # the parameter-name prefixes each method moves, and the step it takes per batch
+    @pytest.mark.parametrize("method, moved, step", [
+        ("source_only", (), "frozen_batch"),
+        ("norm_stat", (), "frozen_batch"),
+        ("ft_only", (), "frozen_batch"),
+        ("entropy_min", ("norm",), "tent_batch"),
+        ("ft_plus_entropy_min", ("norm",), "tent_batch"),
+        ("fs_tta", ("conv", "norm", "head"), "adapt_batch"),
+    ])
+    def test_each_method_moves_its_groups_through_its_step(self, rng, monkeypatch,
+                                                          method, moved, step):
+        # run_baseline must find the step in the module when it is called, as
+        # perfbench's reference check swaps stream.adapt_batch
+        calls = []
+        real = getattr(stream_module, step)
+
+        def counting(*args, **kwargs):
+            calls.append(step)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stream_module, step, counting)
+        model = _model(rng)
+        snap = {k: v.data.copy() for k, v in model.params.items()}
+        stream = make_stream(_records(rng, 16), batch_size=8, seed=1)
+        run_baseline(method, model, stream, AdaptConfig(lr=1e-2), bank=_aligned_bank(model))
+        assert calls == [step, step]
+        changed = {n for n, old in snap.items() if not np.array_equal(model.params[n].data, old)}
+        assert changed == {n for n in snap if n.startswith(moved)}
 
     def test_fs_tta_requires_bank(self, rng):
         model = _model(rng)

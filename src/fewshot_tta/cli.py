@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import harness
 from .config import RunConfig, describe, file_sha256, load_config, override, seed_plan
-from .data import (Dataset, SupportSet, manifest, read_dataset, read_json, write_csv,
-                   write_dataset, write_json)
+from .data import (Dataset, SupportSet, read_dataset, read_json, write_csv, write_dataset,
+                   write_json)
 from .errors import ConfigError, DataError, FewshotTtaError
 from .finetune import finetune
 from .model import load_model, save_model, train_source
@@ -58,7 +58,6 @@ def cmd_gen_data(args) -> int:
     for name, records in parts.items():
         write_dataset(files[name], records, bench.class_count)
 
-    write_json(out / "manifest.json", manifest(cfg.data, trial.seeds["data"], files))
     write_json(out / "gen-data.sidecar.json", {
         **describe(cfg), "seeds": trial.seeds, "k": cfg.k,
         "hashes": {name: file_sha256(path) for name, path in files.items()},
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, flags=(), **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON run config; flags override file values")
         for flag in ("seed", "trial_seed", *flags):
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5, help="number of trial seeds")
     p.add_argument("--out", required=True, help="sweep JSON path")
 
-    p = sub.add_parser("report", help="compare metrics files side by side")
+    p = sub.add_parser("report", allow_abbrev=False, help="compare metrics files side by side")
     p.set_defaults(fn=cmd_report)
     p.add_argument("metrics", nargs="+", help="metrics JSON files from adapt")
     p.add_argument("--force", action="store_true", help="allow mixed config/data hashes")

@@ -252,6 +252,8 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int) -> None:
     f32 pixels); the file's domain is the records' one domain."""
     if not records:
         raise DataError("empty record list")
+    if num_classes > 65536:
+        raise DataError(f"a TTAD file's 16-bit labels hold at most 65536 classes, got {num_classes}")
     shapes = {rec.pixels.shape for rec in records}
     if len(shapes) > 1:
         raise DataError(f"records disagree on pixel shape: {sorted(shapes)}")
@@ -364,25 +366,6 @@ def generate_benchmark(cfg: BenchmarkConfig,
     target_data = gen_domain(cfg.class_count, cfg.per_class_count, target, cfg.image_size,
                              template_seed)
     return source_data, target_data
-
-
-def manifest(cfg: BenchmarkConfig, seed: int, files: dict[str, str]) -> dict:
-    """gen-data's manifest document: domains, counts, seeds, output files."""
-    sources, target = benchmark_domains(cfg, seed)
-    return {
-        "class_count": cfg.class_count,
-        "per_class_count": cfg.per_class_count,
-        "image_size": cfg.image_size,
-        "channels": cfg.channels,
-        "master_seed": seed,
-        "domains": [
-            {"domain_id": s.domain_id, "role": "target" if s is target else "source",
-             "gain": s.gain.tolist(), "bias": s.bias.tolist(), "noise_std": s.noise_std,
-             "seed": s.seed}
-            for s in [*sources, target]
-        ],
-        "files": files,
-    }
 
 
 def records_as_arrays(records: list[SampleRecord]) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ def finite_diff_check(fn, params: dict[str, Tensor]) -> FiniteDiffReport:
     for p in params.values():
         p.grad = None
     out = fn()
-    if out.size != 1:
+    if out.data.size != 1:
         raise ValueError("finite_diff_check needs a scalar-valued function")
     out.backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

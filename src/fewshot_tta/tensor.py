@@ -106,10 +106,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 

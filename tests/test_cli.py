@@ -10,6 +10,7 @@ import shlex
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fewshot_tta import cli, data, harness
@@ -49,21 +50,40 @@ def workspace(tmp_path_factory, cfg_path):
 
 class TestGenData:
     def test_writes_expected_files(self, workspace):
-        data = workspace / "data"
-        for name in ("source0.ttad", "source1.ttad", "target.ttad", "support.ttad",
-                     "stream.ttad", "manifest.json", "gen-data.sidecar.json"):
-            assert (data / name).exists(), name
+        names = {p.name for p in (workspace / "data").iterdir()}
+        assert names == {"source0.ttad", "source1.ttad", "target.ttad", "support.ttad",
+                         "stream.ttad", "gen-data.sidecar.json"}
 
     def test_sidecar_embeds_config_and_hashes(self, workspace):
-        doc = json.loads((workspace / "data" / "gen-data.sidecar.json").read_text())
+        data = workspace / "data"
+        doc = json.loads((data / "gen-data.sidecar.json").read_text())
         assert "config" in doc and "config_hash" in doc
-        assert doc["hashes"]["stream"] == file_sha256(workspace / "data" / "stream.ttad")
+        assert doc["hashes"] == {p.stem: file_sha256(p) for p in data.glob("*.ttad")}
 
-    def test_manifest_records_run_seed_and_channels(self, tmp_path, cfg_path):
+    def test_sidecar_records_run_seed_and_channels(self, tmp_path, cfg_path):
         assert main(["gen-data", "--config", cfg_path, "--seed", "4", "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        assert doc["master_seed"] == 4
-        assert doc["channels"] == 3
+        doc = json.loads((tmp_path / "gen-data.sidecar.json").read_text())
+        assert doc["config"]["master_seed"] == 4
+        assert doc["seeds"]["data"] == 4
+        assert len(doc["config"]["data"]["target_gain"]) == 3
+
+    def test_more_classes_than_16_bit_labels_exits_two_writing_nothing(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # real generation at 65,537 classes takes tens of seconds, so a few records stand in
+        def records(labels, domain_id):
+            return [SampleRecord(label=c, pixels=np.zeros((3, 4, 4)), domain_id=domain_id)
+                    for c in labels]
+        bench = harness.Bench([records([0, 65536], 0)], records([0, 0, 1, 1], 1), 65537)
+        monkeypatch.setattr(harness, "prepare_benchmark", lambda cfg: bench)
+        path = tmp_path / "c.json"
+        path.write_text('{"k": 1, "data": {"class_count": 65537, "per_class_count": 2, '
+                        '"image_size": 4}}')
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at most 65536 classes, got 65537" in err
+        assert not out.exists()
 
     def test_same_seed_twice_identical_files(self, tmp_path, cfg_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -446,7 +466,7 @@ class TestStrictJson:
                      "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
         paths = [*workspace.rglob("*.json"), *tmp_path.rglob("*.json")]
-        assert {"manifest.json", "gen-data.sidecar.json", "source.ttam.sidecar.json",
+        assert {"gen-data.sidecar.json", "source.ttam.sidecar.json",
                 "tuned.ttam.sidecar.json", "erm.json", "sweep.json",
                 "report.json"} <= {p.name for p in paths}
         for path in paths:
@@ -718,14 +738,23 @@ def test_each_flag_sets_its_field(command, flag):
     assert json.loads(serialize(cli._config_from(args))) == expected
 
 
-# run-all reads --method as an abbreviation of its --methods
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, flags in _COMMAND_FLAGS.items()
-    for flag in _FLAG_CASES if flag not in flags and (command, flag) != ("run-all", "--method")])
+    for flag in _FLAG_CASES if flag not in flags])
 def test_each_subcommand_refuses_the_flags_it_does_not_take(command, flag, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, *_REQUIRED[command], flag, _FLAG_CASES[flag][0]])
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["adapt", *_REQUIRED["adapt"], "--meth", "tent"],
+    ["sweep", *_REQUIRED["sweep"], "--ax", "alpha"],
+    ["report", "m.json", "--cs", "t.csv"],
+])
+def test_a_prefix_of_a_flag_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_every_subcommand_renders_its_help(capsys):

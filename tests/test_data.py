@@ -329,6 +329,16 @@ class TestDatasetFile:
             assert type(rec.label) is int
             assert rec.pixels.dtype == np.float64 and rec.pixels.shape == (3, 4, 4)
 
+    def test_16_bit_labels_hold_65536_classes_and_no_more(self, tmp_path):
+        records = [SampleRecord(label=label, pixels=np.zeros((1, 2, 2)), domain_id=0)
+                   for label in (0, 65535)]
+        write_dataset(tmp_path / "wide.ttad", records, num_classes=65536)
+        ds = read_dataset(tmp_path / "wide.ttad")
+        assert ds.num_classes == 65536 and [rec.label for rec in ds.records] == [0, 65535]
+        with pytest.raises(DataError, match="at most 65536 classes, got 65537"):
+            write_dataset(tmp_path / "wider.ttad", records, num_classes=65537)
+        assert [p.name for p in tmp_path.iterdir()] == ["wide.ttad"]
+
     def test_mixed_domains_rejected(self, tmp_path):
         records = [SampleRecord(label=0, pixels=np.zeros((1, 2, 2)), domain_id=0),
                    SampleRecord(label=0, pixels=np.zeros((1, 2, 2)), domain_id=1)]

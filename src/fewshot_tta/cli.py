@@ -74,9 +74,11 @@ def _write_model(path, model, cfg: RunConfig, **fields) -> None:
 
 
 def _read_sources(data_dir) -> tuple[list[Dataset], list[Path]]:
-    paths = sorted(Path(data_dir).glob("source*.ttad"))
+    """The source<i>.ttad files under data_dir, read in index order."""
+    paths = sorted((p for p in Path(data_dir).glob("source*.ttad") if p.stem[6:].isdecimal()),
+                   key=lambda p: (int(p.stem[6:]), p.name))
     if not paths:
-        raise DataError(f"no source*.ttad files under {data_dir}")
+        raise DataError(f"no source<i>.ttad files under {data_dir}")
     return [read_dataset(p) for p in paths], paths
 
 
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("train-source", cmd_train_source, ["iters"], help="train the pooled-source model")
-    p.add_argument("--data", required=True, help="directory with source*.ttad")
+    p.add_argument("--data", required=True, help="directory with source<i>.ttad")
     p.add_argument("--out", required=True, help="output model file")
 
     p = add("finetune", cmd_finetune, ["epochs", "lr"], help="fine-tune on the labeled support set")

@@ -35,27 +35,6 @@ DATASET_VERSION = 1
 
 
 @dataclass
-class DomainSpec:
-    """Per-channel affine style and noise level of one domain."""
-
-    domain_id: int
-    gain: np.ndarray
-    bias: np.ndarray
-    noise_std: float
-    seed: int
-
-    def __post_init__(self):
-        self.gain = np.asarray(self.gain, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.gain.shape != self.bias.shape:
-            raise ConfigError(f"gain shape {self.gain.shape} != bias shape {self.bias.shape}")
-        if np.any(self.gain <= 0):
-            raise ConfigError(f"domain {self.domain_id}: gain values must be > 0, got {self.gain}")
-        if self.noise_std < 0:
-            raise ConfigError(f"domain {self.domain_id}: noise_std must be >= 0, got {self.noise_std}")
-
-
-@dataclass
 class SampleRecord:
     """One labeled image: class index, C x H x W float64 pixels, origin domain."""
 
@@ -125,24 +104,23 @@ def class_templates(class_count: int, image_size: int, channels: int = 3,
     return out
 
 
-def gen_domain(class_count: int, per_class_count: int, spec: DomainSpec,
-               image_size: int, template_seed: int = 0) -> list[SampleRecord]:
-    """Draw per_class_count samples per class in one domain's style.
+def gen_domain(templates: np.ndarray, per_class_count: int, gain, bias, noise_std: float,
+               seed: int, domain_id: int) -> list[SampleRecord]:
+    """Draw per_class_count samples per class of templates in one domain's style.
 
     sample = gain * template(class) + bias + N(0, noise_std^2), per channel.
-    Pure function of (arguments, seeds); samples come out class-major, each a
-    view of the domain's one block (drawn in one call, the values of per-sample draws).
+    Pure function of its arguments; samples come out class-major, each a view
+    of the domain's one block (drawn in one call, the values of per-sample draws).
     """
     if per_class_count < 1:
         raise ConfigError(f"per_class_count must be >= 1, got {per_class_count}")
-    channels = spec.gain.shape[0]
-    templates = class_templates(class_count, image_size, channels, template_seed)
-    styled = spec.gain[:, None, None] * templates + spec.bias[:, None, None]
-    rng = np.random.default_rng(spec.seed)
-    pixels = rng.normal(0.0, spec.noise_std, size=(class_count, per_class_count, *styled.shape[1:]))
+    gain, bias = np.asarray(gain, dtype=np.float64), np.asarray(bias, dtype=np.float64)
+    styled = gain[:, None, None] * templates + bias[:, None, None]
+    pixels = np.random.default_rng(seed).normal(
+        0.0, noise_std, size=(len(templates), per_class_count, *styled.shape[1:]))
     pixels += styled[:, None]
-    return [SampleRecord(label=c, pixels=pixels[c, i], domain_id=spec.domain_id)
-            for c in range(class_count) for i in range(per_class_count)]
+    return [SampleRecord(label=c, pixels=pixels[c, i], domain_id=domain_id)
+            for c in range(len(templates)) for i in range(per_class_count)]
 
 
 def split_support(target_data: list[SampleRecord], k: int, seed: int) -> tuple[SupportSet, list[SampleRecord]]:
@@ -344,27 +322,20 @@ class BenchmarkConfig:
         return len(self.target_gain)
 
 
-def benchmark_domains(cfg: BenchmarkConfig, seed: int) -> tuple[list[DomainSpec], DomainSpec]:
-    """Instantiate the source DomainSpecs and the shifted target DomainSpec."""
+def generate_benchmark(cfg: BenchmarkConfig,
+                       seed: int) -> tuple[list[list[SampleRecord]], list[SampleRecord]]:
+    """Generate all source domains and the target domain of the benchmark:
+    one draw of the class templates, restyled by each domain in turn."""
     data_seed = sub_seed(seed, "data")
+    templates = class_templates(cfg.class_count, cfg.image_size, cfg.channels,
+                                sub_seed(data_seed, "templates"))
     styles = [(gain, bias, SOURCE_NOISE_STD)
               for gain, bias in zip(cfg.source_gains, cfg.source_biases)]
     styles.append((cfg.target_gain, cfg.target_bias, cfg.target_noise_std))
-    *sources, target = [DomainSpec(domain_id=i, gain=np.array(gain), bias=np.array(bias),
-                                   noise_std=noise, seed=sub_seed(data_seed, f"domain{i}"))
-                        for i, (gain, bias, noise) in enumerate(styles)]
-    return sources, target
-
-
-def generate_benchmark(cfg: BenchmarkConfig,
-                       seed: int) -> tuple[list[list[SampleRecord]], list[SampleRecord]]:
-    """Generate all source domains and the target domain of the benchmark."""
-    sources, target = benchmark_domains(cfg, seed)
-    template_seed = sub_seed(sub_seed(seed, "data"), "templates")
-    source_data = [gen_domain(cfg.class_count, cfg.per_class_count, spec, cfg.image_size,
-                              template_seed) for spec in sources]
-    target_data = gen_domain(cfg.class_count, cfg.per_class_count, target, cfg.image_size,
-                             template_seed)
+    *source_data, target_data = [
+        gen_domain(templates, cfg.per_class_count, gain, bias, noise,
+                   sub_seed(data_seed, f"domain{i}"), i)
+        for i, (gain, bias, noise) in enumerate(styles)]
     return source_data, target_data
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from fewshot_tta.data import SampleRecord, class_templates
+from fewshot_tta.data import SampleRecord
 from fewshot_tta.prototypes import ema_update, proto_classify
 from fewshot_tta.stream import consistency_mask, entropy_filter, online_loss, pseudo_label
 from fewshot_tta.tensor import _im2col, add, div, mul, reshape, softmax, sqrt, sub, take_rows, tmean
@@ -80,16 +80,16 @@ def adapt_batch_full_graph(model, bank, cfg, x):
     return preds, sel, masks, None if loss is None else loss.item()
 
 
-def gen_domain_per_sample(class_count, per_class_count, spec, image_size, template_seed=0):
+def gen_domain_per_sample(templates, per_class_count, gain, bias, noise_std, seed, domain_id):
     """One domain's records, class-major, each sample's noise drawn by its own call."""
-    templates = class_templates(class_count, image_size, spec.gain.shape[0], template_seed)
-    rng = np.random.default_rng(spec.seed)
+    gain, bias = np.asarray(gain, dtype=np.float64), np.asarray(bias, dtype=np.float64)
+    rng = np.random.default_rng(seed)
     records = []
-    for c in range(class_count):
-        styled = spec.gain[:, None, None] * templates[c] + spec.bias[:, None, None]
+    for c, template in enumerate(templates):
+        styled = gain[:, None, None] * template + bias[:, None, None]
         for _ in range(per_class_count):
-            noise = rng.normal(0.0, spec.noise_std, size=styled.shape)
-            records.append(SampleRecord(label=c, pixels=styled + noise, domain_id=spec.domain_id))
+            noise = rng.normal(0.0, noise_std, size=styled.shape)
+            records.append(SampleRecord(label=c, pixels=styled + noise, domain_id=domain_id))
     return records
 
 

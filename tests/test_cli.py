@@ -19,7 +19,7 @@ from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, l
                                 seed_plan, serialize)
 from fewshot_tta.data import SampleRecord, SupportSet, read_dataset, write_dataset, write_json
 from fewshot_tta.errors import ConfigError, DataError, NumericError, TruncatedFileError
-from fewshot_tta.model import load_model
+from fewshot_tta.model import load_model, train_source
 from fewshot_tta.stream import resolve_method
 from test_harness import tiny_cfg
 
@@ -134,6 +134,30 @@ class TestTrainSource:
         assert rc == 2
         assert "source files disagree on class count: [3, 4]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pools_sources_in_index_order(self, tmp_path):
+        """With 11 source domains source10.ttad sorts lexically before
+        source2.ttad; the model and its data_hash follow the index order."""
+        base = tiny_cfg()
+        biases = tuple((0.1 * i, 0.0, 0.0) for i in range(11))
+        cfg = replace(base, data=replace(base.data, per_class_count=3, image_size=4,
+                                         source_gains=((1.0, 1.0, 1.0),) * 11,
+                                         source_biases=biases),
+                      source=replace(base.source, iters=5))
+        path = tmp_path / "c.json"
+        path.write_text(serialize(cfg))
+        data_dir, out = tmp_path / "data", tmp_path / "m.ttam"
+        assert main(["gen-data", "--config", str(path), "--out", str(data_dir)]) == 0
+        assert main(["train-source", "--config", str(path), "--data", str(data_dir),
+                     "--out", str(out)]) == 0
+        names = [f"source{i}" for i in range(11)]
+        want, _ = train_source([read_dataset(data_dir / f"{name}.ttad").records for name in names],
+                               cfg.source, seed_plan(cfg)["init"], widths=cfg.widths,
+                               num_classes=cfg.data.class_count)
+        assert load_model(out).params_hash() == want.params_hash()
+        hashes = json.loads((data_dir / "gen-data.sidecar.json").read_text())["hashes"]
+        doc = json.loads((tmp_path / "m.ttam.sidecar.json").read_text())
+        assert doc["data_hash"] == "+".join(hashes[name] for name in names)
 
 
 class TestFinetune:

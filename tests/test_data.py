@@ -1,17 +1,15 @@
 """Synthetic domain generator and TTAD round trips."""
 
-import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
+from fewshot_tta import data as data_mod
 from fewshot_tta.data import (
     BenchmarkConfig,
-    DomainSpec,
     SampleRecord,
     SupportSet,
-    benchmark_domains,
     class_templates,
     gen_domain,
     generate_benchmark,
@@ -29,85 +27,95 @@ from fewshot_tta.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from fewshot_tta.seeding import sub_seed
 from fewshot_tta.tensor import Tensor, channel_stats
 
 import oracles
 
 
-def identity_spec(domain_id=0, channels=3, noise=0.0, seed=1):
-    return DomainSpec(domain_id=domain_id, gain=np.ones(channels),
-                      bias=np.zeros(channels), noise_std=noise, seed=seed)
+def identity_domain(templates, per_class_count, noise=0.0, seed=1, domain_id=0):
+    channels = templates.shape[1]
+    return gen_domain(templates, per_class_count, np.ones(channels), np.zeros(channels),
+                      noise, seed, domain_id)
 
 
 class TestGeneration:
     def test_identity_domain_returns_templates(self):
         templates = class_templates(4, 8, channels=3, template_seed=5)
-        records = gen_domain(4, 2, identity_spec(), 8, template_seed=5)
+        records = identity_domain(templates, 2)
         for rec in records:
             assert np.array_equal(rec.pixels, templates[rec.label])
 
     def test_affine_style_moves_stats_exactly(self):
-        spec_a = identity_spec(domain_id=0)
-        spec_b = DomainSpec(domain_id=1, gain=np.array([2.0, 0.5, 3.0]),
-                            bias=np.array([1.0, -1.0, 0.25]), noise_std=0.0, seed=1)
-        recs_a = gen_domain(3, 1, spec_a, 8, template_seed=2)
-        recs_b = gen_domain(3, 1, spec_b, 8, template_seed=2)
+        templates = class_templates(3, 8, template_seed=2)
+        gain_b, bias_b = np.array([2.0, 0.5, 3.0]), np.array([1.0, -1.0, 0.25])
+        recs_a = identity_domain(templates, 1)
+        recs_b = gen_domain(templates, 1, gain_b, bias_b, 0.0, 1, 1)
         for ra, rb in zip(recs_a, recs_b):
             mu_a, sig_a = channel_stats(Tensor(ra.pixels[None]))
             mu_b, sig_b = channel_stats(Tensor(rb.pixels[None]))
-            assert np.allclose(mu_b.data[0], spec_b.gain * mu_a.data[0] + spec_b.bias, atol=1e-12)
-            assert np.allclose(sig_b.data[0], spec_b.gain * sig_a.data[0], atol=1e-12)
+            assert np.allclose(mu_b.data[0], gain_b * mu_a.data[0] + bias_b, atol=1e-12)
+            assert np.allclose(sig_b.data[0], gain_b * sig_a.data[0], atol=1e-12)
 
     def test_noise_free_nearest_template_is_perfect(self):
         templates = class_templates(6, 16, template_seed=3)
-        spec = DomainSpec(domain_id=0, gain=np.array([1.5, 0.7, 1.2]),
-                          bias=np.array([0.3, -0.2, 0.0]), noise_std=0.0, seed=9)
-        records = gen_domain(6, 3, spec, 16, template_seed=3)
-        styled = spec.gain[:, None, None] * templates + spec.bias[:, None, None]
+        gain, bias = np.array([1.5, 0.7, 1.2]), np.array([0.3, -0.2, 0.0])
+        records = gen_domain(templates, 3, gain, bias, 0.0, 9, 0)
+        styled = gain[:, None, None] * templates + bias[:, None, None]
         for rec in records:
             dists = [np.linalg.norm(rec.pixels - styled[c]) for c in range(6)]
             assert int(np.argmin(dists)) == rec.label
 
     def test_generation_is_deterministic(self):
-        spec = identity_spec(noise=0.1, seed=42)
-        a = gen_domain(3, 4, spec, 8, template_seed=7)
-        b = gen_domain(3, 4, spec, 8, template_seed=7)
+        a = identity_domain(class_templates(3, 8, template_seed=7), 4, noise=0.1, seed=42)
+        b = identity_domain(class_templates(3, 8, template_seed=7), 4, noise=0.1, seed=42)
         for ra, rb in zip(a, b):
             assert ra.label == rb.label
             assert np.array_equal(ra.pixels, rb.pixels)
 
     @pytest.mark.parametrize("edge", [False, True])
-    def test_one_block_matches_per_sample_draws(self, edge):
-        """The default benchmark's domains (and a one-sample, noise-free edge
-        case) come out bitwise as one draw per sample would give them, and a
-        domain's records are views of one block."""
-        cfg = BenchmarkConfig(per_class_count=1) if edge else BenchmarkConfig()
-        sources, target = benchmark_domains(cfg, 0)
-        for spec in (*sources, target):
-            spec = dataclasses.replace(spec, noise_std=0.0) if edge else spec
-            got = gen_domain(cfg.class_count, cfg.per_class_count, spec, cfg.image_size, 4)
-            want = oracles.gen_domain_per_sample(cfg.class_count, cfg.per_class_count, spec,
-                                                 cfg.image_size, 4)
+    def test_one_block_matches_per_sample_draws(self, edge, monkeypatch):
+        """generate_benchmark's domains (default, and a one-sample, noise-free
+        edge case) come out bitwise as one draw per sample from their routed
+        seeds would give them, and a domain's records are views of one block."""
+        if edge:
+            monkeypatch.setattr(data_mod, "SOURCE_NOISE_STD", 0.0)
+        cfg = BenchmarkConfig(per_class_count=1, target_noise_std=0.0) if edge else BenchmarkConfig()
+        source_data, target_data = generate_benchmark(cfg, 0)
+        data_seed = sub_seed(0, "data")
+        templates = class_templates(cfg.class_count, cfg.image_size, cfg.channels,
+                                    sub_seed(data_seed, "templates"))
+        styles = [(gain, bias, data_mod.SOURCE_NOISE_STD)
+                  for gain, bias in zip(cfg.source_gains, cfg.source_biases)]
+        styles.append((cfg.target_gain, cfg.target_bias, cfg.target_noise_std))
+        domains = [*source_data, target_data]
+        assert len(domains) == len(styles)
+        for i, (got, (gain, bias, noise)) in enumerate(zip(domains, styles)):
+            want = oracles.gen_domain_per_sample(templates, cfg.per_class_count, gain, bias, noise,
+                                                 sub_seed(data_seed, f"domain{i}"), i)
             assert [(r.label, r.domain_id) for r in got] == [(r.label, r.domain_id) for r in want]
             assert all(g.pixels.tobytes() == w.pixels.tobytes() for g, w in zip(got, want))
             block = got[0].pixels.base
             assert block is not None and all(r.pixels.base is block for r in got)
 
+    def test_templates_drawn_once_per_benchmark(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return class_templates(*args)
+
+        monkeypatch.setattr(data_mod, "class_templates", counted)
+        generate_benchmark(BenchmarkConfig(per_class_count=2), 0)
+        assert len(calls) == 1
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigError):
-            gen_domain(1, 5, identity_spec(), 8)
+            class_templates(1, 8)
         with pytest.raises(ConfigError):
-            gen_domain(3, 5, identity_spec(), 3)
+            class_templates(3, 3)
         with pytest.raises(ConfigError):
-            gen_domain(3, 0, identity_spec(), 8)
-
-    def test_bad_domain_spec_rejected(self):
-        with pytest.raises(ConfigError, match="gain"):
-            DomainSpec(domain_id=0, gain=np.array([1.0, 0.0, 1.0]),
-                       bias=np.zeros(3), noise_std=0.1, seed=0)
-        with pytest.raises(ConfigError, match="noise_std"):
-            DomainSpec(domain_id=0, gain=np.ones(3), bias=np.zeros(3),
-                       noise_std=-0.1, seed=0)
+            identity_domain(class_templates(3, 8), 0)
 
     @pytest.mark.parametrize("over", [
         {"target_gain": (0.1, 1.0)},
@@ -367,8 +375,6 @@ class TestReadJson:
 
 
 @pytest.mark.parametrize("call, error, match", [
-    pytest.param(lambda path: DomainSpec(0, np.ones(3), np.zeros(2), 0.1, 0), ConfigError,
-                 r"gain shape \(3,\) != bias shape \(2,\)", id="domain_gain_bias_shapes"),
     pytest.param(lambda path: split_support([], 0, 0), ConfigError, "k must be >= 1, got 0",
                  id="split_support_k"),
     pytest.param(lambda path: write_dataset(path / "mixed.ttad", [

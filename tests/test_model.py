@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fewshot_tta import model as model_mod
-from fewshot_tta.data import DomainSpec, SampleRecord, gen_domain
+from fewshot_tta.data import SampleRecord, class_templates, gen_domain
 from fewshot_tta.errors import (
     BadMagicError,
     ConfigError,
@@ -223,9 +223,8 @@ class TestFullLossGradients:
 
 class TestTrainSource:
     def make_toy_domains(self):
-        spec_a = DomainSpec(domain_id=0, gain=np.array([1.0, 1.0, 1.0]),
-                            bias=np.zeros(3), noise_std=0.05, seed=1)
-        return [gen_domain(2, 30, spec_a, 8, template_seed=4)]
+        return [gen_domain(class_templates(2, 8, template_seed=4), 30, np.array([1.0, 1.0, 1.0]),
+                           np.zeros(3), 0.05, 1, 0)]
 
     def test_separable_toy_reaches_high_accuracy(self):
         domains = self.make_toy_domains()
@@ -256,17 +255,16 @@ class TestTrainSource:
 
     def test_mixed_pixel_shapes_rejected_before_any_step(self):
         domains = self.make_toy_domains()
-        spec_b = DomainSpec(domain_id=1, gain=np.ones(3), bias=np.zeros(3),
-                            noise_std=0.05, seed=2)
-        domains.append(gen_domain(2, 3, spec_b, 4, template_seed=4))
+        domains.append(gen_domain(class_templates(2, 4, template_seed=4), 3, np.ones(3),
+                                  np.zeros(3), 0.05, 2, 1))
         with pytest.raises(DataError, match="pixel shape"):
             train_source(domains, SourceConfig(iters=0), 0, widths=(3, 4, 4, 4), num_classes=2)
 
     def test_holds_no_stacked_copy_of_the_source_images(self):
         """Two steps of batch 4 at widths 3-4-4-4 need far less memory than
         the 1,200 source images (7.4 MB), so training must not stack them all."""
-        spec = DomainSpec(domain_id=0, gain=np.ones(3), bias=np.zeros(3), noise_std=0.05, seed=1)
-        domains = [gen_domain(3, 400, spec, 16, template_seed=4)]
+        domains = [gen_domain(class_templates(3, 16, template_seed=4), 400, np.ones(3),
+                              np.zeros(3), 0.05, 1, 0)]
         nbytes = sum(rec.pixels.nbytes for rec in domains[0])
         tracemalloc.start()
         try:

@@ -49,6 +49,10 @@ def _config_from(args) -> RunConfig:
 def cmd_gen_data(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
+    names = {f"source{i}.ttad" for i in range(len(cfg.data.source_gains))}
+    stale = [p for p in _source_files(out) if p.name not in names]
+    if stale:
+        raise DataError(f"{stale[0]}: a stale source file, which train-source would pool")
     bench = harness.prepare_benchmark(cfg)
     trial = harness.make_trial(cfg, bench)
 
@@ -73,10 +77,15 @@ def _write_model(path, model, cfg: RunConfig, **fields) -> None:
                {**describe(cfg), "params_hash": model.params_hash().hex(), **fields})
 
 
+def _source_files(directory) -> list[Path]:
+    """The source<i>.ttad files in directory, in index order."""
+    return sorted((p for p in Path(directory).glob("source*.ttad") if p.stem[6:].isdecimal()),
+                  key=lambda p: (int(p.stem[6:]), p.name))
+
+
 def _read_sources(data_dir) -> tuple[list[Dataset], list[Path]]:
     """The source<i>.ttad files under data_dir, read in index order."""
-    paths = sorted((p for p in Path(data_dir).glob("source*.ttad") if p.stem[6:].isdecimal()),
-                   key=lambda p: (int(p.stem[6:]), p.name))
+    paths = _source_files(data_dir)
     if not paths:
         raise DataError(f"no source<i>.ttad files under {data_dir}")
     return [read_dataset(p) for p in paths], paths
@@ -94,7 +103,7 @@ def cmd_train_source(args) -> int:
                                 num_classes=classes.pop())
     seconds = time.perf_counter() - t0
     _write_model(args.out, model, cfg, data_hash="+".join(file_sha256(p) for p in paths),
-                 final_loss=curve[-1][1] if curve else None, seconds=seconds)
+                 curve=curve, seconds=seconds)
     print(f"trained source model ({seconds:.1f}s), wrote {args.out}")
     return 0
 
@@ -107,9 +116,7 @@ def cmd_finetune(args) -> int:
     tuned, trace = finetune(model, support, cfg.finetune, seed_plan(cfg)["fda"])
     seconds = time.perf_counter() - t0
     _write_model(args.out, tuned, cfg, data_hash=file_sha256(args.support),
-                 support_size=len(support.samples), k=support.k,
-                 final_support_acc=trace[-1]["support_acc"] if trace else None, seconds=seconds)
-    write_csv(args.trace or str(args.out) + ".trace.csv", ["epoch", "loss", "support_acc"], trace)
+                 support_size=len(support.samples), k=support.k, trace=trace, seconds=seconds)
     print(f"fine-tuned for {cfg.finetune.epochs} epochs ({seconds:.1f}s), wrote {args.out}")
     return 0
 
@@ -223,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="input model file")
     p.add_argument("--support", required=True, help="support dataset file")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--trace", help="loss trace CSV path (default <out>.trace.csv)")
 
     p = add("adapt", cmd_adapt, ["method", "alpha", "batch_size"],
             help="run one adaptation method over a stream")

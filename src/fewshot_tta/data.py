@@ -258,6 +258,8 @@ def read_dataset(path) -> Dataset:
     """Read a TTAD file back; pixels come out float64 (f32-exact values)."""
     raw, (_, _, n, c, h, w, num_classes, domain_id) = read_artifact(
         path, _HEADER, DATASET_MAGIC, DATASET_VERSION)
+    if 0 in (c, h, w):
+        raise DataFormatError(f"{path}: a record of {c}x{h}x{w} pixels holds no pixel")
     rec_bytes = 2 + 4 * c * h * w
     expected = _HEADER.size + n * rec_bytes
     if len(raw) < expected:

@@ -33,11 +33,10 @@ METHODS = {
     "ft_plus_entropy_min": _Method("ft_tent", True, ("norm_affine",)),
     "fs_tta": _Method("fs_tta", True, PARAM_GROUPS),
 }
-BASELINE_KINDS = tuple(METHODS)
 
 
 def resolve_method(name: str) -> str:
-    """Map a CLI alias or canonical name onto a BaselineKind."""
+    """Map a CLI alias or canonical name onto its key in METHODS."""
     for kind, method in METHODS.items():
         if name in (kind, method.alias):
             return kind

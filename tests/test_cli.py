@@ -19,6 +19,7 @@ from fewshot_tta.config import (RunConfig, config_hash, describe, file_sha256, l
                                 seed_plan, serialize)
 from fewshot_tta.data import SampleRecord, SupportSet, read_dataset, write_dataset, write_json
 from fewshot_tta.errors import ConfigError, DataError, NumericError, TruncatedFileError
+from fewshot_tta.finetune import finetune
 from fewshot_tta.model import load_model, train_source
 from fewshot_tta.stream import resolve_method
 from test_harness import tiny_cfg
@@ -85,6 +86,32 @@ class TestGenData:
         assert "at most 65536 classes, got 65537" in err
         assert not out.exists()
 
+    def test_stale_source_file_exits_two_writing_nothing(self, tmp_path, capsys):
+        """A source<i>.ttad that this config does not write, left by an earlier
+        run into the same directory, would be pooled by train-source."""
+        base = tiny_cfg()
+        small = replace(base.data, per_class_count=3, image_size=4)
+        five = replace(base, data=replace(small, source_gains=((1.0, 1.0, 1.0),) * 5,
+                                          source_biases=((0.0, 0.0, 0.0),) * 5))
+        paths = {}
+        for name, cfg in (("five", five), ("two", replace(base, data=small))):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(serialize(cfg))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(paths["five"]), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(paths["two"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{out / 'source2.ttad'}: a stale source file" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(["gen-data", "--config", str(paths["five"]), "--out", str(out)]) == 0
+        # train-source would pool source00.ttad as a second domain 0
+        (out / "source00.ttad").write_bytes(before["source1.ttad"])
+        assert main(["gen-data", "--config", str(paths["five"]), "--out", str(out)]) == 2
+        assert f"{out / 'source00.ttad'}: a stale source file" in capsys.readouterr().err
+
     def test_same_seed_twice_identical_files(self, tmp_path, cfg_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["gen-data", "--config", cfg_path, "--out", str(a)]) == 0
@@ -107,6 +134,14 @@ class TestTrainSource:
         assert model.num_classes == 3
         doc = json.loads((workspace / "source.ttam.sidecar.json").read_text())
         assert doc["params_hash"] == model.params_hash().hex()
+        assert doc["curve"][-1][0] == tiny_cfg().source.iters - 1
+        assert "final_loss" not in doc
+
+    def test_zero_iters_records_an_empty_curve(self, workspace, cfg_path, tmp_path):
+        out = tmp_path / "m.ttam"
+        assert main(["train-source", "--config", cfg_path, "--data", str(workspace / "data"),
+                     "--out", str(out), "--iters", "0"]) == 0
+        assert json.loads((tmp_path / "m.ttam.sidecar.json").read_text())["curve"] == []
 
     def test_missing_data_dir_is_data_error(self, tmp_path, cfg_path):
         rc = main(["train-source", "--config", cfg_path,
@@ -151,23 +186,43 @@ class TestTrainSource:
         assert main(["train-source", "--config", str(path), "--data", str(data_dir),
                      "--out", str(out)]) == 0
         names = [f"source{i}" for i in range(11)]
-        want, _ = train_source([read_dataset(data_dir / f"{name}.ttad").records for name in names],
-                               cfg.source, seed_plan(cfg)["init"], widths=cfg.widths,
-                               num_classes=cfg.data.class_count)
+        datasets = [read_dataset(data_dir / f"{name}.ttad").records for name in names]
+        want, curve = train_source(datasets, cfg.source, seed_plan(cfg)["init"],
+                                   widths=cfg.widths, num_classes=cfg.data.class_count)
         assert load_model(out).params_hash() == want.params_hash()
         hashes = json.loads((data_dir / "gen-data.sidecar.json").read_text())["hashes"]
         doc = json.loads((tmp_path / "m.ttam.sidecar.json").read_text())
         assert doc["data_hash"] == "+".join(hashes[name] for name in names)
+        assert doc["curve"] == [list(point) for point in curve]
 
 
 class TestFinetune:
-    def test_outputs(self, workspace):
-        tuned = load_model(workspace / "tuned.ttam")
+    @pytest.mark.parametrize("epochs", [5, 0])
+    def test_outputs(self, workspace, cfg_path, tmp_path, epochs):
+        """The model and one sidecar, whose trace is the list finetune returns."""
+        out = tmp_path / "tuned.ttam"
+        support = workspace / "data" / "support.ttad"
+        assert main(["finetune", "--config", cfg_path, "--model", str(workspace / "source.ttam"),
+                     "--support", str(support), "--out", str(out),
+                     "--epochs", str(epochs)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tuned.ttam",
+                                                             "tuned.ttam.sidecar.json"]
+        cfg = load_config(cfg_path)
         source = load_model(workspace / "source.ttam")
-        assert tuned.params_hash() != source.params_hash()
-        trace = (workspace / "tuned.ttam.trace.csv").read_text().splitlines()
-        assert trace[0] == "epoch,loss,support_acc"
-        assert len(trace) == 6
+        want, trace = finetune(source, SupportSet(read_dataset(support).records, 3),
+                               replace(cfg.finetune, epochs=epochs), seed_plan(cfg)["fda"])
+        assert load_model(out).params_hash() == want.params_hash()
+        doc = json.loads((tmp_path / "tuned.ttam.sidecar.json").read_text())
+        assert doc["trace"] == trace and len(trace) == epochs
+        assert "final_support_acc" not in doc
+
+    def test_trace_flag_is_gone(self, workspace, tmp_path, capsys):
+        rc = main(["finetune", "--model", str(workspace / "source.ttam"),
+                   "--support", str(workspace / "data" / "support.ttad"),
+                   "--out", str(tmp_path / "t.ttam"), "--trace", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_support_class_count_mismatch_is_data_error(self, workspace, cfg_path, tmp_path,
                                                          capsys):

@@ -245,6 +245,15 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="too large"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("h, w", [(0, 4), (4, 0)])
+    def test_records_without_pixels_are_format_errors(self, tmp_path, h, w):
+        """A header of H = 0 or W = 0 with a matching size holds 2-byte records:
+        labels and no pixel."""
+        path = tmp_path / "flat.ttad"
+        path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 3, 3, h, w, 6, 1) + bytes(6))
+        with pytest.raises(DataFormatError, match=f"a record of 3x{h}x{w} pixels holds no pixel"):
+            read_dataset(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttad"
         path.write_bytes(b"NOPE" + b"\x00" * 60)

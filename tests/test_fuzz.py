@@ -1,11 +1,11 @@
 """Seeded fuzzing of every reader.
 
-Truncations and single-bit flips of a TTAD stream and a TTAM model (read by
-``fewshot-tta adapt``), of a metrics document (read by ``report``) and of a
-config (read by ``load_config``) may only end in exit code 0, 1 or 2, or a
-ConfigError from the config reader. An exception that escapes fails the
-test. The mutants come from a plain numpy generator, so a failure
-reproduces from its seed and index.
+Truncations and single-bit flips of a TTAD stream and support set and a TTAM
+model (read by ``fewshot-tta adapt``), of a metrics document (read by
+``report``) and of a config (read by ``load_config``) may only end in exit
+code 0, 1 or 2, or a ConfigError from the config reader. An exception that
+escapes fails the test. The mutants come from a plain numpy generator, so a
+failure reproduces from its seed and index.
 """
 
 import struct
@@ -53,27 +53,29 @@ def inputs(tmp_path_factory):
     write_dataset(root / "support.ttad", records(6), num_classes=3)
     cfg = RunConfig(k=2, widths=(3, 4, 4, 4), adapt=AdaptConfig(batch_size=4, lr=1e-3))
     (root / "cfg.json").write_text(serialize(cfg))
-    assert _adapt(root, root / "model.ttam", root / "stream.ttad", root / "metrics.json") == 0
+    assert _adapt(root, root / "model.ttam", root / "stream.ttad", root / "support.ttad",
+                  root / "metrics.json") == 0
     return root
 
 
-def _adapt(root, model, stream, out):
+def _adapt(root, model, stream, support, out):
     return main(["adapt", "--config", str(root / "cfg.json"), "--model", str(model),
-                 "--stream", str(stream), "--support", str(root / "support.ttad"),
+                 "--stream", str(stream), "--support", str(support),
                  "--method", "fs_tta", "--out", str(out)])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # flipped exponent bits
-@pytest.mark.parametrize("target, seed", [("stream.ttad", 1), ("model.ttam", 2)])
+@pytest.mark.parametrize("target, seed", [("stream.ttad", 1), ("model.ttam", 2),
+                                          ("support.ttad", 4)])
 def test_adapt_survives_mutated_files(inputs, tmp_path, capsys, target, seed):
     codes = []
     for mutant in _mutants((inputs / target).read_bytes(), seed, header=True):
         path = tmp_path / target
         path.write_bytes(mutant)
-        files = {"stream.ttad": inputs / "stream.ttad", "model.ttam": inputs / "model.ttam",
-                 target: path}
+        files = {name: inputs / name for name in ("model.ttam", "stream.ttad", "support.ttad")}
+        files[target] = path
         codes.append(_adapt(inputs, files["model.ttam"], files["stream.ttad"],
-                            tmp_path / "m.json"))
+                            files["support.ttad"], tmp_path / "m.json"))
     capsys.readouterr()
     assert set(codes) <= {0, 1, 2}
     assert 0 in codes and 2 in codes
@@ -83,9 +85,23 @@ def test_adapt_refuses_an_empty_stream_of_oversized_records(inputs, tmp_path, ca
     """A header of zero 4000x4000x4000-pixel records passes the file-size checks."""
     path = tmp_path / "stream.ttad"
     path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 0, 4000, 4000, 4000, 3, 1))
-    assert _adapt(inputs, inputs / "model.ttam", path, tmp_path / "m.json") == 2
+    assert _adapt(inputs, inputs / "model.ttam", path, inputs / "support.ttad",
+                  tmp_path / "m.json") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "is too large" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["stream.ttad"]
+
+
+@pytest.mark.parametrize("h, w", [(0, 8), (8, 0)])
+def test_adapt_refuses_a_stream_of_records_without_pixels(inputs, tmp_path, capsys, h, w):
+    """Twelve 2-byte records (a label each) match the size a header of H = 0
+    or W = 0 declares."""
+    path = tmp_path / "stream.ttad"
+    path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 12, 3, h, w, 3, 1) + bytes(24))
+    assert _adapt(inputs, inputs / "model.ttam", path, inputs / "support.ttad",
+                  tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "holds no pixel" in err
     assert [p.name for p in tmp_path.iterdir()] == ["stream.ttad"]
 
 

@@ -50,7 +50,7 @@ from fewshot_tta.config import RunConfig, serialize  # noqa: E402
 from fewshot_tta.harness import (adapt_stream, build_source_model, make_trial,  # noqa: E402
                                  prepare_benchmark, run_all, run_stage1, sweep)
 from fewshot_tta.model import SourceConfig, load_model  # noqa: E402
-from fewshot_tta.stream import BASELINE_KINDS  # noqa: E402
+from fewshot_tta.stream import METHODS  # noqa: E402
 from test_acceptance import _small_cfg  # noqa: E402
 from test_harness import tiny_cfg  # noqa: E402
 
@@ -156,8 +156,8 @@ def _fs_tta_end_state() -> str:
 
 
 IN_PROCESS = {
-    "run_all/tiny_cfg": lambda: doc_digest(run_all(tiny_cfg(), BASELINE_KINDS)),
-    "run_all/small_cfg": lambda: doc_digest(run_all(_small_cfg(), BASELINE_KINDS)),
+    "run_all/tiny_cfg": lambda: doc_digest(run_all(tiny_cfg(), tuple(METHODS))),
+    "run_all/small_cfg": lambda: doc_digest(run_all(_small_cfg(), tuple(METHODS))),
     "sweep/alpha/tiny_cfg": lambda: doc_digest(sweep(tiny_cfg(), "alpha", trial_seeds=(0, 1, 2))),
     "params_hash/source_50_steps": _source_50_steps,
     "fs_tta_end_state/tiny_cfg": _fs_tta_end_state,
@@ -173,7 +173,7 @@ def _fixture_stage1() -> str:
 # checked by test_acceptance.py, outside the fast tier
 ACCEPTANCE_TIER = {
     "params_hash/fixture_stage1": _fixture_stage1,
-    "run_all/fixture": lambda: doc_digest(run_all(RunConfig(), BASELINE_KINDS,
+    "run_all/fixture": lambda: doc_digest(run_all(RunConfig(), tuple(METHODS),
                                                   source_model=load_model(FIXTURE_MODEL))),
 }
 
@@ -202,7 +202,7 @@ def cli_chain_digests(root: Path) -> dict:
         ["report", *(root / f"{m}.json" for m in ("erm", "bn", "tent", "fs_tta")),
          "--csv", root / "report.csv"],
         ["sweep", *cfg, "--axis", "alpha", "--trials", "2", "--out", root / "sweep.json"],
-        ["run-all", *cfg, "--methods", ",".join(BASELINE_KINDS), "--out", root / "run-all"],
+        ["run-all", *cfg, "--methods", ",".join(METHODS), "--out", root / "run-all"],
     ]
     for argv in commands:
         code = cli.main([str(a) for a in argv])

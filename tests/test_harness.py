@@ -20,7 +20,7 @@ from fewshot_tta.harness import (METRICS_SCHEMA, build_report, build_source_mode
                                  make_trial, prepare_benchmark, run_all, run_method,
                                  run_stage1, sweep)
 from fewshot_tta.model import SourceConfig, predict
-from fewshot_tta.stream import (BASELINE_KINDS, AdaptConfig, adapt_batch, init_adapt_state,
+from fewshot_tta.stream import (METHODS, AdaptConfig, adapt_batch, init_adapt_state,
                                 make_stream, run_baseline)
 from test_acceptance import _strip_timings
 
@@ -147,10 +147,10 @@ class TestRunAll:
         tests = Path(__file__).resolve().parent
         script = ("import json\n"
                   "from fewshot_tta.harness import run_all\n"
-                  "from fewshot_tta.stream import BASELINE_KINDS\n"
+                  "from fewshot_tta.stream import METHODS\n"
                   "from test_acceptance import _strip_timings\n"
                   "from test_harness import tiny_cfg\n"
-                  "print(json.dumps(_strip_timings(run_all(tiny_cfg(), BASELINE_KINDS)),"
+                  "print(json.dumps(_strip_timings(run_all(tiny_cfg(), tuple(METHODS))),"
                   " sort_keys=True))\n")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -178,7 +178,7 @@ class TestRunAll:
 
     def test_each_total_is_the_sum_of_its_rows(self, pipeline):
         cfg, _, model = pipeline
-        report = run_all(cfg, BASELINE_KINDS, source_model=model)
+        report = run_all(cfg, tuple(METHODS), source_model=model)
         for kind, doc in report["methods"].items():
             rows = doc["rows"]
             assert doc["selected_total"] == sum(row["selected"] for row in rows), kind
@@ -187,7 +187,7 @@ class TestRunAll:
 
     @pytest.mark.parametrize("methods, distinct, scorers", [
         (["erm", "source_only", "fs_tta", "fs_tta"], ["source_only", "fs_tta"], ["ft_only"]),
-        (BASELINE_KINDS, list(BASELINE_KINDS), []),
+        (tuple(METHODS), list(METHODS), []),
         (["ft_only"], ["ft_only"], ["source_only"]),
         (["norm_stat"], ["norm_stat"], ["source_only"]),
     ])
@@ -207,7 +207,7 @@ class TestRunAll:
 
     def test_run_accuracies_are_the_frozen_runs_scores(self, pipeline):
         cfg, _, model = pipeline
-        full = run_all(cfg, methods=BASELINE_KINDS, source_model=model)
+        full = run_all(cfg, methods=tuple(METHODS), source_model=model)
         assert full["source_accuracy"] == full["methods"]["source_only"]["final_accuracy"]
         assert full["stage1_accuracy"] == full["methods"]["ft_only"]["final_accuracy"]
         alone = run_all(cfg, methods=["fs_tta"], source_model=model)

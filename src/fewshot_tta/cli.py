@@ -63,7 +63,7 @@ def cmd_gen_data(args) -> int:
         write_dataset(files[name], records, bench.class_count)
 
     write_json(out / "gen-data.sidecar.json", {
-        **describe(cfg), "seeds": trial.seeds, "k": cfg.k,
+        **describe(cfg), "seeds": trial.seeds,
         "hashes": {name: file_sha256(path) for name, path in files.items()},
     })
     print(f"wrote {len(files)} dataset files to {out}")
@@ -155,11 +155,6 @@ def cmd_adapt(args) -> int:
         "num_classes": ds.num_classes,
         **fields,
     })
-    if args.batch_csv:
-        names = ["batch", "batch_correct", "batch_size", "cumulative_accuracy",
-                 "selected", "mask_rate", "loss"]
-        write_csv(args.batch_csv, names, ({"batch": i, **{k: row[k] for k in names[1:]}}
-                                          for i, row in enumerate(fields["rows"])))
     print(f"{fields['method']}: online accuracy {fields['final_accuracy']:.4f} "
           f"over {fields['total']} samples ({fields['seconds']:.1f}s)")
     return 0
@@ -237,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True, help="stream dataset file")
     p.add_argument("--support", help="support file (builds the fs_tta prototype bank)")
     p.add_argument("--out", required=True, help="metrics JSON path")
-    p.add_argument("--batch-csv", dest="batch_csv", help="per-batch CSV path")
 
     p = add("sweep", cmd_sweep, help="sweep alpha, k-shot, or batch size")
     p.add_argument("--axis", required=True, choices=harness.SWEEP_DEFAULTS)

@@ -235,10 +235,13 @@ def write_dataset(path, records: list[SampleRecord], num_classes: int) -> None:
     shapes = {rec.pixels.shape for rec in records}
     if len(shapes) > 1:
         raise DataError(f"records disagree on pixel shape: {sorted(shapes)}")
+    (shape,) = shapes
+    if len(shape) != 3 or 0 in shape:
+        raise DataError(f"pixels must be C x H x W, each at least 1, got shape {shape}")
     domains = {rec.domain_id for rec in records}
     if len(domains) > 1:
         raise DataError(f"one file holds one domain, got ids {sorted(domains)}")
-    c, h, w = records[0].pixels.shape
+    c, h, w = shape
     for rec in records:
         if not 0 <= rec.label < num_classes:
             raise DataError(f"label {rec.label} out of range for {num_classes} classes")

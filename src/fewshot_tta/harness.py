@@ -23,6 +23,10 @@ from .stream import METHODS, make_stream, resolve_method, run_baseline
 
 RUN_SCHEMA = "fewshot-tta-run/1"
 METRICS_SCHEMA = "fewshot-tta-metrics/2"
+# the fields adapt writes into every metrics document and report reads, with their JSON types
+METRICS_FIELDS = {"method": (str,), "final_accuracy": (int, float), "num_classes": (int,),
+                  "total": (int,), "curve": (list,), "data_hash": (str,),
+                  "comparison_hash": (str,)}
 SWEEP_SCHEMA = "fewshot-tta-sweep/1"
 
 
@@ -282,19 +286,17 @@ def comparison_hash(cfg: RunConfig) -> str:
 
 
 def check_comparable(docs: list, paths=None, force: bool = False) -> None:
-    """Refuse metrics that were not produced on the same footing."""
+    """Refuse metrics that adapt did not write, or not on the same footing."""
     paths = paths or [f"input {i}" for i in range(len(docs))]
     for doc, path in zip(docs, paths):
-        # /1 differs only in writing a bare NaN for a batch without a loss
-        if doc.get("schema") not in ("fewshot-tta-metrics/1", METRICS_SCHEMA):
+        if doc.get("schema") != METRICS_SCHEMA:
             raise DataError(f"{path}: schema {doc.get('schema')!r}, expected {METRICS_SCHEMA!r}")
-        for key, types in (("method", (str,)), ("final_accuracy", (int, float)),
-                           ("num_classes", (int,)), ("total", (int,))):
+        for key, types in METRICS_FIELDS.items():
             if type(doc.get(key)) not in types:
                 raise DataError(f"{path}: metrics field {key!r} missing or mistyped: {doc.get(key)!r}")
-        for key, kind in (("curve", list), ("data_hash", str), ("comparison_hash", str)):
-            if key in doc and type(doc[key]) is not kind:
-                raise DataError(f"{path}: metrics field {key!r} mistyped: {doc[key]!r}")
+        for key, low, high in (("final_accuracy", 0, 1), ("total", 1, float("inf"))):
+            if not low <= doc[key] <= high:  # also refuses a NaN accuracy
+                raise DataError(f"{path}: metrics field {key!r} = {doc[key]!r} outside [{low}, {high}]")
     classes = {doc["num_classes"] for doc in docs}
     if len(classes) > 1:
         offender = paths[[doc["num_classes"] for doc in docs].index(sorted(classes)[1])]
@@ -302,7 +304,7 @@ def check_comparable(docs: list, paths=None, force: bool = False) -> None:
     if force:
         return
     for key in ("data_hash", "comparison_hash"):
-        distinct = {doc.get(key) for doc in docs}
+        distinct = {doc[key] for doc in docs}
         if len(distinct) > 1:
             raise DataError(f"mixed {key} across inputs ({len(distinct)} distinct); "
                             "pass --force to compare anyway")
@@ -319,7 +321,7 @@ def build_report(docs: list, paths=None, force: bool = False) -> dict:
         "final_accuracy": doc["final_accuracy"],
         "delta_vs_baseline": doc["final_accuracy"] - baseline,
         "total": doc["total"],
-        "batches": len(doc.get("curve", [])),
+        "batches": len(doc["curve"]),
     } for doc in docs), key=lambda r: -r["final_accuracy"])
     return {"baseline_accuracy": baseline, "rows": rows}
 

@@ -1,7 +1,6 @@
 """Command-line workflows: artifacts, sidecars, exit codes, determinism."""
 
 import contextlib
-import csv
 import inspect
 import json
 import os
@@ -58,7 +57,8 @@ class TestGenData:
     def test_sidecar_embeds_config_and_hashes(self, workspace):
         data = workspace / "data"
         doc = json.loads((data / "gen-data.sidecar.json").read_text())
-        assert "config" in doc and "config_hash" in doc
+        # k is config.k, so the record does not restate it
+        assert set(doc) == {"config", "config_hash", "seeds", "hashes"}
         assert doc["hashes"] == {p.stem: file_sha256(p) for p in data.glob("*.ttad")}
 
     def test_sidecar_records_run_seed_and_channels(self, tmp_path, cfg_path):
@@ -273,20 +273,25 @@ class TestAdapt:
         assert doc["method"] == "source_only"
         assert 0.0 <= doc["final_accuracy"] <= 1.0
 
-    def test_fs_tta_with_support_and_batch_csv(self, workspace, cfg_path):
+    def test_fs_tta_with_support(self, workspace, cfg_path):
         out = workspace / "fs_tta.json"
-        csv_path = workspace / "fs_tta.csv"
         rc = main(["adapt", "--config", cfg_path, "--model", str(workspace / "tuned.ttam"),
                    "--stream", str(workspace / "data" / "stream.ttad"),
                    "--support", str(workspace / "data" / "support.ttad"),
-                   "--method", "fs_tta", "--out", str(out), "--batch-csv", str(csv_path)])
+                   "--method", "fs_tta", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["selected_total"] > 0
-        assert len(doc["curve"]) == 3
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("batch,")
-        assert len(lines) == 4
+        assert len(doc["curve"]) == len(doc["rows"]) == 3
+
+    def test_batch_csv_flag_is_gone(self, workspace, tmp_path, capsys):
+        """The metrics JSON is the one record of a run; its rows are the batches."""
+        rc = main(["adapt", "--model", str(workspace / "source.ttam"),
+                   "--stream", str(workspace / "data" / "stream.ttad"), "--method", "erm",
+                   "--out", str(tmp_path / "erm.json"), "--batch-csv", str(tmp_path / "erm.csv")])
+        assert rc == 1
+        assert "unrecognized arguments: --batch-csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fs_tta_without_support_is_config_error(self, workspace, cfg_path):
         rc = main(["adapt", "--config", cfg_path, "--model", str(workspace / "tuned.ttam"),
@@ -432,26 +437,56 @@ class TestReport:
         bad.write_text("{broken")
         assert main(["report", str(bad)]) == 2
 
+    @staticmethod
+    def _report(path, capsys, **fields) -> tuple[int, str]:
+        """report's exit code and stderr on a metrics file holding the seven
+        fields adapt writes, changed by fields; a field given as ... is left out."""
+        doc = {"schema": harness.METRICS_SCHEMA, "method": "erm", "final_accuracy": 0.5,
+               "num_classes": 3, "total": 10, "curve": [0.5], "data_hash": "d",
+               "comparison_hash": "c", **fields}
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+        csv_path = path.with_suffix(".csv")
+        rc = main(["report", str(path), "--csv", str(csv_path)])
+        assert csv_path.exists() == (rc == 0)
+        return rc, capsys.readouterr().err
+
+    def test_the_seven_fields_adapt_writes_suffice(self, tmp_path, capsys):
+        assert self._report(tmp_path / "m.json", capsys) == (0, "")
+
+    @pytest.mark.parametrize("field", ["method", "final_accuracy", "num_classes", "total",
+                                       "curve", "data_hash", "comparison_hash"])
+    def test_missing_metrics_field_is_data_error(self, tmp_path, capsys, field):
+        path = tmp_path / "m.json"
+        rc, err = self._report(path, capsys, **{field: ...})
+        assert rc == 2
+        assert f"{path}: metrics field {field!r} missing or mistyped: None" in err
+
     @pytest.mark.parametrize("doc", [
         {"final_accuracy": "high"}, {"total": 2.5}, {"num_classes": None}, {"method": 3}])
     def test_mistyped_metrics_are_data_errors(self, tmp_path, capsys, doc):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"schema": harness.METRICS_SCHEMA, "method": "erm",
-                                    "final_accuracy": 0.5, "num_classes": 3, "total": 10, **doc}))
-        assert main(["report", str(path)]) == 2
-        assert "missing or mistyped" in capsys.readouterr().err
+        rc, err = self._report(path, capsys, **doc)
+        assert rc == 2
+        assert f"{path}: metrics field {next(iter(doc))!r} missing or mistyped" in err
 
     @pytest.mark.parametrize("field,value", [
         ("curve", 5), ("data_hash", [1]), ("comparison_hash", {"x": 1})])
     def test_mistyped_curve_or_hash_is_data_error(self, tmp_path, capsys, field, value):
         # bit flips keep a value's JSON type, so the fuzz test cannot reach these
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"schema": harness.METRICS_SCHEMA, "method": "erm",
-                                    "final_accuracy": 0.5, "num_classes": 3, "total": 10,
-                                    "curve": [0.5], "data_hash": "d", "comparison_hash": "c",
-                                    field: value}))
-        assert main(["report", str(path), str(path)]) == 2
-        assert f"metrics field {field!r} mistyped" in capsys.readouterr().err
+        rc, err = self._report(path, capsys, **{field: value})
+        assert rc == 2
+        assert f"{path}: metrics field {field!r} missing or mistyped" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("final_accuracy", float("nan")), ("final_accuracy", float("inf")),
+        ("final_accuracy", 7.5), ("final_accuracy", -0.25), ("total", 0), ("total", -3)])
+    def test_out_of_range_metrics_field_is_data_error(self, tmp_path, capsys, field, value):
+        """adapt never writes these; report refuses them rather than print a nan row."""
+        path = tmp_path / "m.json"
+        rc, err = self._report(path, capsys, **{field: value})
+        assert rc == 2
+        assert f"{path}: metrics field {field!r} = {value!r} outside" in err
 
     def test_non_utf8_metrics_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -537,8 +572,7 @@ class TestStrictJson:
             assert main(["adapt", "--config", cfg_path, "--model", str(workspace / model),
                          "--stream", str(workspace / "data" / "stream.ttad"),
                          "--support", str(workspace / "data" / "support.ttad"),
-                         "--method", method, "--out", str(tmp_path / f"{method}.json"),
-                         "--batch-csv", str(tmp_path / f"{method}.csv")]) == 0
+                         "--method", method, "--out", str(tmp_path / f"{method}.json")]) == 0
         assert main(["sweep", "--config", cfg_path, "--axis", "alpha", "--values", "0.0,1.0",
                      "--trials", "1", "--out", str(tmp_path / "sweep.json")]) == 0
         assert main(["run-all", "--config", cfg_path, "--methods", "source_only,fs_tta",
@@ -553,8 +587,6 @@ class TestStrictJson:
         erm = _strict_json(tmp_path / "erm.json")
         assert erm["schema"] == "fewshot-tta-metrics/2"
         assert {row["loss"] for row in erm["rows"]} == {None}
-        with open(tmp_path / "erm.csv", newline="") as fh:
-            assert {row["loss"] for row in csv.DictReader(fh)} == {""}
         losses = [row["loss"] for row in _strict_json(tmp_path / "tent.json")["rows"]]
         assert all(isinstance(v, float) for v in losses)
 
@@ -566,17 +598,13 @@ class TestStrictJson:
                 write_json(path, {"loss": bad})
         assert _strict_json(path) == {"loss": None}
 
-    def test_report_reads_a_version_1_file_beside_a_version_2_one(self, tmp_path, capsys):
-        doc = {"method": "source_only", "final_accuracy": 0.5, "num_classes": 3, "total": 10,
-               "curve": [0.5], "rows": [{"loss": None}]}
-        new, old = tmp_path / "new.json", tmp_path / "old.json"
-        write_json(new, {**doc, "schema": harness.METRICS_SCHEMA})
-        # version 1 wrote a bare NaN for a batch without a loss
-        old.write_text(json.dumps({**doc, "schema": "fewshot-tta-metrics/1", "method": "fs_tta",
-                                   "rows": [{"loss": float("nan")}]}))
-        assert "NaN" in old.read_text()
-        assert main(["report", str(old), str(new)]) == 0
-        assert "fs_tta" in capsys.readouterr().out
+    def test_report_refuses_a_version_1_file(self, workspace, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        doc = json.loads((workspace / "erm.json").read_text())
+        write_json(old, {**doc, "schema": "fewshot-tta-metrics/1"})
+        assert main(["report", str(old), str(workspace / "fs_tta.json")]) == 2
+        assert (f"{old}: schema 'fewshot-tta-metrics/1', expected 'fewshot-tta-metrics/2'"
+                in capsys.readouterr().err)
 
 
 class TestExitCodes:

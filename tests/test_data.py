@@ -1,5 +1,6 @@
 """Synthetic domain generator and TTAD round trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -253,6 +254,17 @@ class TestDatasetFile:
         path.write_bytes(struct.pack("<4sIIIIIII", b"TTAD", 1, 3, 3, h, w, 6, 1) + bytes(6))
         with pytest.raises(DataFormatError, match=f"a record of 3x{h}x{w} pixels holds no pixel"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("shape", [(3, 0, 4), (0, 4, 4), (3, 4, 0), (4, 4), (1, 3, 4, 4)])
+    def test_pixels_not_c_h_w_are_refused_before_writing(self, tmp_path, shape):
+        """read_dataset refuses a file of pixel-less records, so none is written,
+        and a record of two or four axes is no TTAD record at all."""
+        path = tmp_path / "flat.ttad"
+        records = [SampleRecord(label=0, pixels=np.zeros(shape), domain_id=0)]
+        message = f"pixels must be C x H x W, each at least 1, got shape {shape}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_dataset(path, records, num_classes=2)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttad"

@@ -1,12 +1,11 @@
 """Support-set fine-tuning: reduction semantics, budgets, evaluation purity."""
 
-import csv
 import sys
 
 import numpy as np
 import pytest
 
-from fewshot_tta.data import SampleRecord, SupportSet, write_csv
+from fewshot_tta.data import SampleRecord, SupportSet
 from fewshot_tta.errors import ConfigError, DataError, NumericError
 from fewshot_tta.fda import FdaConfig
 from fewshot_tta.finetune import FinetuneConfig, eval_accuracy, finetune
@@ -208,17 +207,3 @@ class TestEvalAccuracy:
                              domain_id=0) for _ in range(400)]
         acc = eval_accuracy(model, recs)
         assert abs(acc - 0.25) < 0.09
-
-
-class TestLossTraceCsv:
-    def test_round_trip(self, tmp_path, rng):
-        model = _model(rng)
-        _, trace = finetune(model, _support(rng), FinetuneConfig(epochs=2, lr=1e-3, fda=NO_FDA), 0)
-        path = tmp_path / "trace.csv"
-        write_csv(path, ["epoch", "loss", "support_acc"], trace)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert path.read_text().splitlines()[0] == "epoch,loss,support_acc"
-        assert len(rows) == 2
-        assert rows[0]["epoch"] == "1"
-        assert float(rows[1]["loss"]) == pytest.approx(trace[1]["loss"])

@@ -193,12 +193,10 @@ def cli_chain_digests(root: Path) -> dict:
     ]
     for method in ("erm", "bn", "tent"):
         commands.append(["adapt", *cfg, "--model", source, "--stream", data / "stream.ttad",
-                         "--method", method, "--out", root / f"{method}.json",
-                         "--batch-csv", root / f"{method}.csv"])
+                         "--method", method, "--out", root / f"{method}.json"])
     commands += [
         ["adapt", *cfg, "--model", tuned, "--stream", data / "stream.ttad", "--method", "fs_tta",
-         "--support", data / "support.ttad", "--out", root / "fs_tta.json",
-         "--batch-csv", root / "fs_tta.csv"],
+         "--support", data / "support.ttad", "--out", root / "fs_tta.json"],
         ["report", *(root / f"{m}.json" for m in ("erm", "bn", "tent", "fs_tta")),
          "--csv", root / "report.csv"],
         ["sweep", *cfg, "--axis", "alpha", "--trials", "2", "--out", root / "sweep.json"],
